@@ -2,15 +2,27 @@
 
 namespace kosha {
 
+namespace {
+
+/// The component of `path` that starts at or after `*pos` (separators
+/// skipped), advancing `*pos` past it; empty once none remain.
+std::string_view next_component(std::string_view path, std::size_t* pos) {
+  std::size_t i = *pos;
+  while (i < path.size() && path[i] == '/') ++i;
+  std::size_t j = i;
+  while (j < path.size() && path[j] != '/') ++j;
+  *pos = j;
+  return path.substr(i, j - i);
+}
+
+}  // namespace
+
 std::vector<std::string> split_path(std::string_view path) {
   std::vector<std::string> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) parts.emplace_back(path.substr(i, j - i));
-    i = j;
+  std::size_t pos = 0;
+  for (std::string_view c = next_component(path, &pos); !c.empty();
+       c = next_component(path, &pos)) {
+    parts.emplace_back(c);
   }
   return parts;
 }
@@ -33,15 +45,27 @@ std::string path_child(std::string_view parent, std::string_view name) {
 }
 
 std::string path_parent(std::string_view path) {
-  auto parts = split_path(path);
-  if (parts.empty()) return "/";
-  parts.pop_back();
-  return join_path(parts);
+  // Every component but the last, each behind one separator.
+  std::string out;
+  out.reserve(path.size());
+  std::size_t pos = 0;
+  std::string_view prev = next_component(path, &pos);
+  for (std::string_view c = next_component(path, &pos); !c.empty();
+       c = next_component(path, &pos)) {
+    out += '/';
+    out += prev;
+    prev = c;
+  }
+  if (out.empty()) out += '/';
+  return out;
 }
 
 std::string path_basename(std::string_view path) {
-  const auto parts = split_path(path);
-  return parts.empty() ? std::string{} : parts.back();
+  std::size_t end = path.size();
+  while (end > 0 && path[end - 1] == '/') --end;
+  std::size_t begin = end;
+  while (begin > 0 && path[begin - 1] != '/') --begin;
+  return std::string(path.substr(begin, end - begin));
 }
 
 std::string normalize_path(std::string_view path) {
@@ -54,16 +78,23 @@ std::string normalize_path(std::string_view path) {
   return join_path(out);
 }
 
-std::size_t path_depth(std::string_view path) { return split_path(path).size(); }
+std::size_t path_depth(std::string_view path) {
+  std::size_t depth = 0;
+  std::size_t pos = 0;
+  while (!next_component(path, &pos).empty()) ++depth;
+  return depth;
+}
 
 bool path_is_within(std::string_view path, std::string_view ancestor) {
-  const auto p = split_path(path);
-  const auto a = split_path(ancestor);
-  if (a.size() > p.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (p[i] != a[i]) return false;
+  // Walk both paths one component at a time: `ancestor` must run out
+  // first (or together) with every component matching.
+  std::size_t p = 0;
+  std::size_t a = 0;
+  for (;;) {
+    const std::string_view want = next_component(ancestor, &a);
+    if (want.empty()) return true;
+    if (next_component(path, &p) != want) return false;
   }
-  return true;
 }
 
 }  // namespace kosha

@@ -35,7 +35,9 @@ namespace kosha {
 /// Number of components ("/" -> 0, "/a/b" -> 2).
 [[nodiscard]] std::size_t path_depth(std::string_view path);
 
-/// True if `path` equals `ancestor` or lies beneath it.
+/// True if `path` equals `ancestor` or lies beneath it, compared component
+/// by component (separators collapse; "/ab" is not within "/a"; "" and "/"
+/// contain everything). Allocates nothing.
 [[nodiscard]] bool path_is_within(std::string_view path, std::string_view ancestor);
 
 }  // namespace kosha

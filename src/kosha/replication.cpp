@@ -101,8 +101,22 @@ bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& sr
   return true;
 }
 
+const std::string* deepest_anchor(const AnchorMap& anchors, std::string_view stored_path) {
+  std::string_view prefix = stored_path;
+  for (;;) {
+    while (!prefix.empty() && prefix.back() == '/') prefix.remove_suffix(1);
+    // `prefix` is now empty (the root) or ends in a whole component.
+    const auto it = anchors.find(prefix.empty() ? std::string_view("/") : prefix);
+    if (it != anchors.end()) return &it->first;
+    if (prefix.empty()) return nullptr;
+    const std::size_t slash = prefix.rfind('/');
+    if (slash == std::string_view::npos) return nullptr;
+    prefix = prefix.substr(0, slash);
+  }
+}
+
 ReplicaManager::ReplicaManager(Runtime* runtime, net::HostId host, pastry::NodeId id)
-    : runtime_(runtime), host_(host), id_(id) {
+    : runtime_(runtime), host_(host), id_(id), hidden_root_(hidden_root(id)) {
   assert(runtime_ != nullptr);
   if (MetricsRegistry* m = runtime_->metrics) {
     mirror_ops_ = m->counter("replica.mirror.ops");
@@ -131,19 +145,6 @@ fs::StorageBackend* ReplicaManager::store_of(net::HostId host) const {
   return &server->store();
 }
 
-std::string ReplicaManager::anchor_of(const std::string& stored_path) const {
-  std::string best;
-  bool found = false;
-  for (const auto& [anchor, name] : primaries_) {
-    (void)name;
-    if (path_is_within(stored_path, anchor) && (!found || anchor.size() > best.size())) {
-      best = anchor;
-      found = true;
-    }
-  }
-  return found ? best : std::string{};
-}
-
 std::vector<net::HostId> ReplicaManager::live_target_hosts() const {
   std::vector<net::HostId> out;
   for (const pastry::NodeId t : targets_) {
@@ -160,6 +161,8 @@ std::vector<net::HostId> ReplicaManager::live_target_hosts() const {
 
 void ReplicaManager::register_primary(const std::string& stored_anchor_path,
                                       const std::string& effective_name) {
+  // deepest_anchor() finds only canonical keys; registration is rare.
+  assert(normalize_path(stored_anchor_path) == stored_anchor_path);
   primaries_[stored_anchor_path] = effective_name;
   ClockPauser pause(*runtime_->clock);
   for (const pastry::NodeId t : targets_) {
@@ -226,10 +229,10 @@ void ReplicaManager::note_mirror_error() {
 std::size_t ReplicaManager::for_each_replica(
     const std::string& stored_path, std::size_t payload,
     const std::function<void(fs::StorageBackend&, const std::string&)>& op) {
-  if (anchor_of(stored_path).empty()) return 0;
+  if (!covered_by_anchor(stored_path)) return 0;
   return fan_out(payload, [&](net::HostId host) {
     if (fs::StorageBackend* store = store_of(host)) {
-      op(*store, hidden_root(id_) + stored_path);
+      op(*store, hidden_root_ + stored_path);
     }
   });
 }
@@ -349,12 +352,12 @@ std::size_t ReplicaManager::mirror_remove_recursive(const std::string& stored_pa
 
 std::size_t ReplicaManager::mirror_rename(const std::string& from_path,
                                           const std::string& to_path) {
-  if (anchor_of(from_path).empty()) return 0;
+  if (!covered_by_anchor(from_path)) return 0;
   return fan_out(96, [&](net::HostId host) {
     fs::StorageBackend* store = store_of(host);
     if (store == nullptr) return;
-    const auto [from_parent, from_name] = dir_and_name(hidden_root(id_) + from_path);
-    const auto [to_parent, to_name] = dir_and_name(hidden_root(id_) + to_path);
+    const auto [from_parent, from_name] = dir_and_name(hidden_root_ + from_path);
+    const auto [to_parent, to_name] = dir_and_name(hidden_root_ + to_path);
     const auto fd = store->resolve(from_parent);
     const auto td = store->mkdir_p(to_parent);
     if (!fd.ok() || !td.ok() || !store->rename(*fd, from_name, *td, to_name).ok()) {
@@ -375,7 +378,7 @@ bool ReplicaManager::push_anchor_to(pastry::NodeId target, const std::string& an
   SpanScope span(runtime_->tracer, "replica.push_anchor", host_);
   if (span.active()) span.tag("target", std::to_string(host));
   if (pushes_ != nullptr) pushes_->inc();
-  const std::string root = hidden_root(id_);
+  const std::string& root = hidden_root_;
 
   // MIGRATION_NOT_COMPLETE guards the copy (paper §4.4).
   if (const auto dir = store->mkdir_p(root); dir.ok()) {
@@ -553,7 +556,7 @@ void ReplicaManager::audit_replicas(std::size_t max_pushes, ReconcileReport* rep
   // Anti-entropy traffic is off the critical path: count it, charge no
   // foreground time.
   ClockPauser pause(*runtime_->clock);
-  const std::string root = hidden_root(id_);
+  const std::string& root = hidden_root_;
   std::size_t pushes = 0;
 
   // Placement audit: every registered anchor must exist, flag-free, inside

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kosha/runtime.hpp"
@@ -34,6 +35,21 @@ class Counter;
 inline constexpr const char* kMigrationFlag = "MIGRATION_NOT_COMPLETE";
 /// Reserved top-level directory holding replica copies on each node.
 inline constexpr const char* kReplicaArea = ".r";
+
+/// Stored anchor path -> effective (possibly salted) directory name. The
+/// transparent comparator lets a std::string_view prefix be looked up
+/// without building a string; the order is std::less<std::string>'s.
+using AnchorMap = std::map<std::string, std::string, std::less<>>;
+
+/// Deepest anchor in `anchors` that equals or contains `stored_path`, or
+/// nullptr when none does: the longest key `k` with
+/// path_is_within(stored_path, k). Walks the path's own prefixes deepest
+/// first, one map lookup each, so it costs O(path depth * log anchors)
+/// and allocates nothing. Exact when every key is canonical
+/// (normalize_path(k) == k) and `stored_path` is canonical as well. The
+/// result points at the map's key and lives until that entry is erased.
+[[nodiscard]] const std::string* deepest_anchor(const AnchorMap& anchors,
+                                                std::string_view stored_path);
 
 /// Per-primary mirroring costs, kept in both charging models so any mode's
 /// run can report what the other two would have cost (bench/concurrency
@@ -66,9 +82,7 @@ class ReplicaManager {
   void register_primary(const std::string& stored_anchor_path,
                         const std::string& effective_name);
   void unregister_primary(const std::string& stored_anchor_path);
-  [[nodiscard]] const std::map<std::string, std::string>& primaries() const {
-    return primaries_;
-  }
+  [[nodiscard]] const AnchorMap& primaries() const { return primaries_; }
   [[nodiscard]] const std::vector<pastry::NodeId>& targets() const { return targets_; }
 
   // --- mutation mirroring (called by koshad after the primary op) -------
@@ -136,8 +150,10 @@ class ReplicaManager {
  private:
   [[nodiscard]] fs::StorageBackend& local_store() const;
   [[nodiscard]] fs::StorageBackend* store_of(net::HostId host) const;
-  /// Longest registered anchor path containing `stored_path`, or empty.
-  [[nodiscard]] std::string anchor_of(const std::string& stored_path) const;
+  /// True when a registered anchor equals or contains `stored_path`.
+  [[nodiscard]] bool covered_by_anchor(std::string_view stored_path) const {
+    return deepest_anchor(primaries_, stored_path) != nullptr;
+  }
   /// Live replica target hosts for mirroring.
   [[nodiscard]] std::vector<net::HostId> live_target_hosts() const;
   /// Charge + apply one mirror message per live target, under the
@@ -206,6 +222,8 @@ class ReplicaManager {
   Runtime* runtime_;
   net::HostId host_;
   pastry::NodeId id_;
+  /// hidden_root(id_), built once: every mirrored op prefixes it.
+  std::string hidden_root_;
 
   /// Replication-event counters, resolved once at construction (all null
   /// when metrics are off).
@@ -219,8 +237,11 @@ class ReplicaManager {
 
   MirrorStats mirror_stats_;
 
-  /// stored anchor path -> effective (possibly salted) directory name.
-  std::map<std::string, std::string> primaries_;
+  /// Anchors this node is primary for. Every key is canonical
+  /// (normalize_path(key) == key, as stored_path() and root_stored_path()
+  /// produce), which deepest_anchor's prefix walk relies on;
+  /// register_primary asserts it.
+  AnchorMap primaries_;
   /// Current replica targets (K closest live leaf-set neighbors).
   std::vector<pastry::NodeId> targets_;
   /// Content this node holds *for others*: primary id -> anchors.

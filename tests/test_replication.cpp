@@ -1,12 +1,14 @@
 // Replication manager tests (paper §4.2-§4.4): replica establishment,
 // mutation mirroring, delete propagation, promotion on failure, key-space
-// migration on join, revival purge, and the MIGRATION_NOT_COMPLETE repair
-// protocol (exercised with fault injection).
+// migration on join, revival purge, the MIGRATION_NOT_COMPLETE repair
+// protocol (exercised with fault injection), and the anchor lookup that
+// decides which mutations get mirrored.
 
 #include <gtest/gtest.h>
 
 #include "common/cli.hpp"
 #include "common/path.hpp"
+#include "common/rng.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "kosha/placement.hpp"
@@ -282,6 +284,142 @@ TEST(Replication, ReplicasCountAgainstCapacity) {
   }
   // Primary + 3 replicas of a 100 KiB file.
   EXPECT_GE(total, 4u * 100 * 1024);
+}
+
+/// Brute-force reference for deepest_anchor: scan every anchor and keep
+/// the longest one containing the path.
+const std::string* scan_deepest_anchor(const AnchorMap& anchors, std::string_view path) {
+  const std::string* best = nullptr;
+  for (const auto& [anchor, name] : anchors) {
+    (void)name;
+    if (path_is_within(path, anchor) && (best == nullptr || anchor.size() > best->size())) {
+      best = &anchor;
+    }
+  }
+  return best;
+}
+
+TEST(ReplicaAnchorLookup, NamedCases) {
+  AnchorMap anchors;
+  // Nested anchors in one container: /foo and /foo/foo.
+  const std::string foo = stored_path({"foo"}, 1, "foo");
+  const std::string foo_foo = stored_path({"foo", "foo"}, 2, "foo");
+  ASSERT_EQ(foo, "/.a/foo/foo");
+  ASSERT_EQ(foo_foo, "/.a/foo/foo/foo");
+  anchors[foo] = "foo";
+  anchors[foo_foo] = "foo";
+  const auto deepest = [&](std::string_view path) {
+    const std::string* found = deepest_anchor(anchors, path);
+    EXPECT_EQ(found, scan_deepest_anchor(anchors, path)) << path;
+    return found == nullptr ? std::string("(none)") : *found;
+  };
+
+  EXPECT_EQ(deepest(foo_foo + "/x"), foo_foo);
+  EXPECT_EQ(deepest(foo + "/bar/x"), foo);
+  // A path equal to an anchor.
+  EXPECT_EQ(deepest(foo), foo);
+  EXPECT_EQ(deepest(foo_foo), foo_foo);
+  // Outside every anchor: a byte-prefix sibling, the container, the hidden
+  // replica area, the root.
+  EXPECT_EQ(deepest("/.a/foo/food"), "(none)");
+  EXPECT_EQ(deepest("/.a/foo"), "(none)");
+  EXPECT_EQ(deepest("/.r/00ff/.a/foo/foo"), "(none)");
+  EXPECT_EQ(deepest("/"), "(none)");
+
+  // The root anchor covers its own container and nothing else.
+  anchors[root_stored_path()] = "/";
+  EXPECT_EQ(deepest(root_stored_path()), root_stored_path());
+  EXPECT_EQ(deepest(root_stored_path() + "/top"), root_stored_path());
+  EXPECT_EQ(deepest("/.a/bar/bar"), "(none)");
+  // An anchor at "/" would contain everything, below the deeper anchors.
+  anchors["/"] = "/";
+  EXPECT_EQ(deepest("/.a/bar/bar"), "/");
+  EXPECT_EQ(deepest("/"), "/");
+  EXPECT_EQ(deepest(foo_foo + "/x"), foo_foo);
+}
+
+TEST(ReplicaAnchorLookup, MatchesLongestContainingScan) {
+  // A tiny alphabet, with byte prefixes and a salted name, so anchors nest
+  // and collide often.
+  static const std::vector<std::string> kNames = {"foo", "fo", "bar", "foo#1"};
+  Rng rng(20);
+  const auto random_components = [&](std::size_t depth) {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < depth; ++i) out.push_back(kNames[rng.next_below(kNames.size())]);
+    return out;
+  };
+  std::size_t covered = 0;
+  std::size_t probed = 0;
+  for (int round = 0; round < 50; ++round) {
+    // Anchors as placement stores them: a virtual path of depth 1-3,
+    // anchored at one of its levels, plus sometimes the root anchor.
+    AnchorMap anchors;
+    const std::size_t count = rng.next_below(16);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto components = random_components(1 + rng.next_below(3));
+      const auto level = static_cast<unsigned>(1 + rng.next_below(components.size()));
+      const std::string& name = components[level - 1];
+      anchors[stored_path(components, level, name)] = name;
+    }
+    if (rng.next_below(3) == 0) anchors[root_stored_path()] = "/";
+    for (const auto& [anchor, name] : anchors) {
+      (void)name;
+      ASSERT_EQ(normalize_path(anchor), anchor);
+    }
+
+    // Probes: every anchor and a path below it, then stored-looking paths
+    // in random containers (some under the root container, some in the
+    // replica area, which no anchor covers).
+    std::vector<std::string> probes = {"/", "/.a", "/.r"};
+    for (const auto& [anchor, name] : anchors) {
+      probes.push_back(anchor);
+      probes.push_back(path_child(anchor, name));
+    }
+    for (int i = 0; i < 200; ++i) {
+      std::vector<std::string> components = {rng.next_below(8) == 0 ? ".r" : ".a"};
+      components.push_back(rng.next_below(5) == 0 ? anchor_container("/")
+                                                  : kNames[rng.next_below(kNames.size())]);
+      for (auto& c : random_components(rng.next_below(5))) components.push_back(std::move(c));
+      probes.push_back(join_path(components));
+    }
+    for (const std::string& probe : probes) {
+      const std::string* fast = deepest_anchor(anchors, probe);
+      EXPECT_EQ(fast, scan_deepest_anchor(anchors, probe))
+          << probe << " -> " << (fast == nullptr ? "(none)" : *fast);
+      if (fast != nullptr) ++covered;
+      ++probed;
+    }
+  }
+  // Both answers come up often enough to mean something.
+  EXPECT_GT(covered, probed / 10);
+  EXPECT_LT(covered, probed - probed / 10);
+}
+
+TEST(Replication, MirrorOutsideEveryAnchorSendsNothing) {
+  KoshaCluster cluster(config_for(6, 2));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/in").ok());
+  ASSERT_TRUE(mount.write_file("/in/f", "x").ok());
+  ReplicaManager& rm = cluster.replicas(primary_host(cluster, 0, "/in"));
+  ASSERT_EQ(rm.targets().size(), 2u);
+  const std::string inside = stored_path({"in", "f"}, 1, "in");
+  // A path inside the anchor fans out to both targets.
+  EXPECT_EQ(rm.mirror_set_mode(inside, 0644), 2u);
+
+  for (const std::string& outside : {std::string("/"), std::string("/.a/in"),
+                                     std::string("/.a/in/inx/f"),
+                                     stored_path({"out", "f"}, 1, "out")}) {
+    EXPECT_EQ(rm.mirror_mkdir_p(outside), 0u) << outside;
+    EXPECT_EQ(rm.mirror_create(outside, 0644, 0, 0), 0u) << outside;
+    EXPECT_EQ(rm.mirror_write(outside, 0, "x"), 0u) << outside;
+    EXPECT_EQ(rm.mirror_truncate(outside, 0), 0u) << outside;
+    EXPECT_EQ(rm.mirror_set_mode(outside, 0644), 0u) << outside;
+    EXPECT_EQ(rm.mirror_symlink(outside, "/t"), 0u) << outside;
+    EXPECT_EQ(rm.mirror_remove(outside), 0u) << outside;
+    EXPECT_EQ(rm.mirror_rmdir(outside), 0u) << outside;
+    EXPECT_EQ(rm.mirror_remove_recursive(outside), 0u) << outside;
+    EXPECT_EQ(rm.mirror_rename(outside, inside + "2"), 0u) << outside;
+  }
 }
 
 }  // namespace
