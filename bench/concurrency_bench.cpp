@@ -1,17 +1,11 @@
 // Concurrency benchmark for the event-driven execution core.
 //
-// Part 1 — replica fan-out: a K=3 cluster runs the same single-client
-// create/write workload under each MirrorMode. Sequential mirroring
-// charges the foreground op the SUM of the per-target wire times;
-// overlapped mirroring charges only the slowest target (MAX); background
-// (the paper's model) charges nothing. The per-batch sum/max accumulators
-// in MirrorStats cross-check the measured makespans.
-//
-// Part 2 — multi-client scaling: for each clients count, the same seeded
-// workload runs with overlapping client timelines and again with the
-// serial one-op-at-a-time charging model. Overlap makespan below the
-// serial makespan — and N-client makespan below N x the 1-client run — is
-// the concurrency win the event loop buys.
+// Multi-client scaling: for each clients count, one seeded workload runs
+// with overlapping client timelines. Its busy time (the sum of per-op
+// latencies, what charging every op back-to-back would cost) over its
+// makespan is the concurrency win the event loop buys; N-client makespan
+// below N x the 1-client run says the same. Replica mirroring cost is
+// reported by bench/ablation_replication's K sweep.
 //
 // Flags: --clients=1,4,16 (csv), --nodes, --files, --bytes, --reads,
 //        --zipf=S (read-pass Zipf popularity skew; 0 = legacy round-robin),
@@ -48,30 +42,12 @@ std::vector<std::size_t> parse_csv_sizes(const std::string& csv) {
   return out;
 }
 
-ClusterConfig base_config(std::size_t nodes, std::uint64_t seed, unsigned replicas,
-                          KoshaConfig::MirrorMode mode) {
+ClusterConfig base_config(std::size_t nodes, std::uint64_t seed) {
   ClusterConfig config;
   config.nodes = nodes;
   config.seed = seed;
-  config.kosha.replicas = replicas;
-  config.kosha.mirror_mode = mode;
+  config.kosha.replicas = 1;
   return config;
-}
-
-sim::WorkloadResult run_once(const ClusterConfig& config, const sim::WorkloadConfig& workload,
-                             MirrorStats* mirrors = nullptr) {
-  KoshaCluster cluster(config);
-  const auto result = sim::run_multi_client_workload(cluster, workload);
-  if (mirrors != nullptr) {
-    for (const auto host : cluster.live_hosts()) {
-      const MirrorStats& ms = cluster.replicas(host).mirror_stats();
-      mirrors->rpcs += ms.rpcs;
-      mirrors->batches += ms.batches;
-      mirrors->sequential += ms.sequential;
-      mirrors->overlapped += ms.overlapped;
-    }
-  }
-  return result;
 }
 
 /// One fully-instrumented run (metrics + tracing + profiling) whose
@@ -79,7 +55,7 @@ sim::WorkloadResult run_once(const ClusterConfig& config, const sim::WorkloadCon
 /// to run by nature; kosha_prof's compare mode skips/ratio-gates them.
 int write_profile_json(const std::string& out, std::size_t nodes, std::uint64_t seed,
                        sim::WorkloadConfig workload, std::size_t clients) {
-  ClusterConfig config = base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground);
+  ClusterConfig config = base_config(nodes, seed);
   config.observability.metrics = true;
   config.observability.tracing = true;
   config.observability.profiling = true;
@@ -157,85 +133,40 @@ int main(int argc, char** argv) {
   std::printf("Concurrency bench: event-driven core (%zu nodes, seed=%llu, zipf=%.2f)\n\n",
               nodes, static_cast<unsigned long long>(seed), workload.zipf_s);
 
-  // --- Part 1: K=3 replica fan-out, one client -----------------------------
-  constexpr unsigned kReplicas = 3;
-  sim::WorkloadConfig single = workload;
-  single.clients = 1;
-  single.reads_per_file = 0;  // mutations only: reads never mirror
-
-  double mode_ms[3] = {0, 0, 0};
-  MirrorStats mirrors;  // accumulators are mode-independent; sample once
-  {
-    const auto bg = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kBackground), single);
-    const auto seq = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kSequential), single);
-    const auto ovl = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kOverlapped), single,
-        &mirrors);
-    mode_ms[0] = bg.makespan.to_millis();
-    mode_ms[1] = seq.makespan.to_millis();
-    mode_ms[2] = ovl.makespan.to_millis();
-  }
-  TextTable modes({"mirror mode (K=3)", "makespan (ms)", "vs background (ms)"});
-  modes.add_row({"background", TextTable::fmt(mode_ms[0]), TextTable::fmt(0.0)});
-  modes.add_row({"sequential (sum)", TextTable::fmt(mode_ms[1]),
-                 TextTable::fmt(mode_ms[1] - mode_ms[0])});
-  modes.add_row({"overlapped (max)", TextTable::fmt(mode_ms[2]),
-                 TextTable::fmt(mode_ms[2] - mode_ms[0])});
-  std::fputs(modes.to_string().c_str(), stdout);
-  std::printf("\nmirror rpcs=%llu batches=%llu; per-batch wire time: sum=%.3f ms, "
-              "max=%.3f ms\n(the overlapped run pays the max column, the sequential "
-              "run the sum)\n\n",
-              static_cast<unsigned long long>(mirrors.rpcs),
-              static_cast<unsigned long long>(mirrors.batches),
-              mirrors.sequential.to_millis(), mirrors.overlapped.to_millis());
-
-  // --- Part 2: multi-client scaling ----------------------------------------
-  TextTable scaling({"clients", "overlap makespan (ms)", "serial makespan (ms)", "speedup",
-                     "mean op (us)", "failures"});
+  TextTable scaling({"clients", "makespan (ms)", "busy (ms)", "speedup", "mean op (us)",
+                     "failures"});
   struct Row {
     std::size_t clients;
-    double overlap_ms;
-    double serial_ms;
+    double makespan_ms;
+    double busy_ms;
     double speedup;
   };
   std::vector<Row> rows;
   for (const std::size_t n : clients_list) {
     sim::WorkloadConfig wl = workload;
     wl.clients = n;
-    wl.overlap = true;
-    const auto over = run_once(base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground), wl);
-    wl.overlap = false;
-    const auto serial =
-        run_once(base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground), wl);
-    const double speedup =
-        over.makespan.ns > 0
-            ? serial.makespan.to_millis() / over.makespan.to_millis()
-            : 0.0;
-    rows.push_back({n, over.makespan.to_millis(), serial.makespan.to_millis(), speedup});
-    scaling.add_row({std::to_string(n), TextTable::fmt(over.makespan.to_millis()),
-                     TextTable::fmt(serial.makespan.to_millis()), TextTable::fmt(speedup) + "x",
-                     TextTable::fmt(over.mean_op_us(), 1),
-                     std::to_string(over.failures + serial.failures)});
+    KoshaCluster cluster(base_config(nodes, seed));
+    const auto result = sim::run_multi_client_workload(cluster, wl);
+    const double speedup = result.makespan.ns > 0
+                               ? result.busy.to_millis() / result.makespan.to_millis()
+                               : 0.0;
+    rows.push_back({n, result.makespan.to_millis(), result.busy.to_millis(), speedup});
+    scaling.add_row({std::to_string(n), TextTable::fmt(result.makespan.to_millis()),
+                     TextTable::fmt(result.busy.to_millis()), TextTable::fmt(speedup) + "x",
+                     TextTable::fmt(result.mean_op_us(), 1), std::to_string(result.failures)});
   }
   std::fputs(scaling.to_string().c_str(), stdout);
-  std::printf("\nSpeedup = serial/overlap: overlapping client timelines turn N clients'\n"
+  std::printf("\nSpeedup = busy/makespan: overlapping client timelines turn N clients'\n"
               "independent RPCs into concurrent in-flight work instead of a serial sum.\n");
 
   if (const std::string out = args.get_string("metrics-out", ""); !out.empty()) {
     std::ostringstream json;
     json << "{\n  \"seed\": " << seed << ",\n  \"nodes\": " << nodes << ",\n";
-    json << "  \"mirror_modes\": {\"replicas\": " << kReplicas
-         << ", \"background_ms\": " << mode_ms[0] << ", \"sequential_ms\": " << mode_ms[1]
-         << ", \"overlapped_ms\": " << mode_ms[2] << ", \"mirror_rpcs\": " << mirrors.rpcs
-         << ", \"batch_sum_ms\": " << mirrors.sequential.to_millis()
-         << ", \"batch_max_ms\": " << mirrors.overlapped.to_millis() << "},\n";
     json << "  \"scaling\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (i != 0) json << ", ";
-      json << "{\"clients\": " << rows[i].clients << ", \"overlap_ms\": " << rows[i].overlap_ms
-           << ", \"serial_ms\": " << rows[i].serial_ms << ", \"speedup\": " << rows[i].speedup
+      json << "{\"clients\": " << rows[i].clients << ", \"makespan_ms\": " << rows[i].makespan_ms
+           << ", \"busy_ms\": " << rows[i].busy_ms << ", \"speedup\": " << rows[i].speedup
            << "}";
     }
     json << "]\n}\n";

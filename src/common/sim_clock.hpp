@@ -62,11 +62,11 @@ class SimClock {
   }
 
   /// Set the clock to exactly `t`, possibly rewinding (no-op when paused).
-  /// Reserved for simulation drivers that evaluate alternative timelines
-  /// branching from one instant — overlapped replica fan-out charges each
-  /// mirror from the same start and keeps only the slowest finish, and the
-  /// multi-client workload driver hops between per-client timelines. Never
-  /// call this from component code: components only ever move time forward.
+  /// Reserved for code that evaluates alternative timelines branching from
+  /// one instant. Its users: the multi-client workload driver and
+  /// overload_sim hop between per-client timelines, and koshad's degraded
+  /// read starts every replica probe from the same instant and keeps the
+  /// earliest success. Components otherwise only ever move time forward.
   void set_now(SimDuration t) {
     if (pause_depth_ == 0) now_ = t;
   }

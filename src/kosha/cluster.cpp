@@ -17,22 +17,14 @@ KoshaCluster::KoshaCluster(ClusterConfig config)
   if (const std::string err = config_.kosha.validate(); !err.empty()) {
     throw std::invalid_argument("KoshaConfig: " + err);
   }
-  if (config_.self_heal.enabled && !config_.event_driven) {
-    throw std::invalid_argument(
-        "ClusterConfig: self_heal requires the event-driven execution model");
-  }
   if (config_.self_heal.enabled) {
     overlay_.set_failure_listener([this](pastry::NodeId observer, pastry::NodeId dead) {
       on_failure_reported(observer, dead);
     });
   }
-  // Execution model: attaching the event loop flips NfsClient's
-  // synchronous API onto the completion-based core (nfs_client.hpp); not
-  // attaching it preserves the legacy serial call-and-advance model.
-  if (config_.event_driven) {
-    network_.set_event_loop(&loop_);
-    runtime_.loop = &loop_;
-  }
+  // Attaching the event loop puts NfsClient's synchronous API onto the
+  // completion-based core (nfs_client.hpp).
+  network_.set_event_loop(&loop_);
   if (config_.kosha.overload.enabled) {
     // Arm the network's per-host admission bounds; client-side controls
     // (budget, breakers) are armed per daemon in Koshad's constructor.

@@ -47,8 +47,8 @@ struct ObservabilityConfig {
 /// — the model every pre-existing test assumes. Enabled, fail_node only
 /// stops the host: each node runs a heartbeat failure detector and an
 /// anti-entropy repair daemon on the event loop, and the survivors must
-/// detect the death, repair the ring, and converge replication themselves.
-/// Requires the event-driven execution model.
+/// detect the death, repair the ring, and converge replication themselves;
+/// the detectors and repair daemons are timers on the cluster's event loop.
 struct SelfHealConfig {
   bool enabled = false;
   pastry::FailureDetectorConfig detector;
@@ -62,13 +62,6 @@ struct ClusterConfig {
   std::uint64_t node_capacity_bytes = 35ull << 30;
   std::vector<std::uint64_t> capacities;
   std::uint64_t seed = 42;
-  /// Execution model: true (default) drives every RPC through the
-  /// discrete-event scheduler — concurrent in-flight RPCs, real per-node
-  /// service queues, overlapped failover probes. false keeps the legacy
-  /// serial call-and-advance model (one RPC at a time, no queueing); kept
-  /// for A/B comparison in bench/concurrency_bench. For single-in-flight
-  /// schedules the two models produce identical numbers.
-  bool event_driven = true;
   KoshaConfig kosha;
   net::NetworkConfig network;
   nfs::NfsCostModel costs;
@@ -130,8 +123,8 @@ class KoshaCluster {
   [[nodiscard]] std::size_t undetected_failures() const { return death_times_.size(); }
 
   [[nodiscard]] SimClock& clock() { return clock_; }
-  /// The cluster's discrete-event scheduler (attached to the network only
-  /// when config().event_driven).
+  /// The cluster's discrete-event scheduler: every RPC, service queue,
+  /// failover probe and self-healing timer runs on it.
   [[nodiscard]] EventLoop& loop() { return loop_; }
   [[nodiscard]] net::SimNetwork& network() { return network_; }
   [[nodiscard]] pastry::PastryOverlay& overlay() { return overlay_; }

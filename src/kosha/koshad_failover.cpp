@@ -3,17 +3,15 @@
 // The failover half of the daemon: the bounded re-resolve-and-retry ladder
 // every handler runs through (via the with_handle shim in koshad.hpp), the
 // round-robin replica read path, and the degraded read that serves from a
-// replica copy while the primary is unreachable. In the event-driven
-// execution model the degraded read probes every replica concurrently and
-// keeps the earliest success; the legacy serial model scans them one at a
-// time. Request handlers live in koshad.cpp; path resolution in
-// koshad_resolve.cpp.
+// replica copy while the primary is unreachable. The degraded read probes
+// every replica concurrently and keeps the earliest success. Request
+// handlers live in koshad.cpp; path resolution in koshad_resolve.cpp.
 
 #include "kosha/koshad.hpp"
 
 #include <algorithm>
+#include <cassert>
 
-#include "common/event_loop.hpp"
 #include "common/metrics.hpp"
 #include "common/path.hpp"
 #include "common/tracing.hpp"
@@ -95,12 +93,12 @@ std::optional<nfs::NfsResult<nfs::ReadReply>> Koshad::degraded_replica_read(
   if (rm == nullptr) return std::nullopt;
   const std::string hidden = ReplicaManager::hidden_root(rm->id()) + resolved.stored_path;
   SimClock& clock = *runtime_->clock;
-  // Event-driven runs probe every replica concurrently: each probe departs
-  // at the same instant and the earliest success wins, so the degraded
-  // read costs one probe's latency instead of a sequential scan's. The
-  // serial model (no loop, or clock paused) keeps the legacy early-return
-  // scan — there a probe cannot overlap anything.
-  const bool concurrent = runtime_->loop != nullptr && !clock.paused();
+  // Probe every replica concurrently: each probe departs at the same
+  // instant and the earliest success wins, so the degraded read costs one
+  // probe's latency instead of a sequential scan's. Reads arrive only
+  // through KoshaMount, never from background work under a paused clock,
+  // where the set_now rewinds below would be no-ops.
+  assert(!clock.paused());
   const SimDuration t0 = clock.now();
   std::optional<nfs::NfsResult<nfs::ReadReply>> best;
   SimDuration best_finish{};
@@ -108,7 +106,7 @@ std::optional<nfs::NfsResult<nfs::ReadReply>> Koshad::degraded_replica_read(
   for (const pastry::NodeId target : rm->targets()) {
     if (!runtime_->overlay->is_live(target)) continue;
     const net::HostId host = runtime_->overlay->host_of(target);
-    if (concurrent) clock.set_now(t0);
+    clock.set_now(t0);
     const auto looked = remote_lookup_path(host, hidden);
     if (clock.now() > slowest) slowest = clock.now();
     if (!looked.ok()) continue;  // replica lagging or also unreachable
@@ -116,17 +114,12 @@ std::optional<nfs::NfsResult<nfs::ReadReply>> Koshad::degraded_replica_read(
     auto reply = client_.read(looked->handle, offset, count);
     if (clock.now() > slowest) slowest = clock.now();
     if (!reply.ok()) continue;
-    if (!concurrent) {
-      ++stats_.degraded_reads;
-      return reply;
-    }
     const SimDuration finish = clock.now();
     if (!best.has_value() || finish < best_finish) {  // strict <: ties keep the
       best = std::move(reply);                        // first-probed replica
       best_finish = finish;
     }
   }
-  if (!concurrent) return std::nullopt;
   if (best.has_value()) {
     clock.set_now(best_finish);
     ++stats_.degraded_reads;

@@ -10,7 +10,7 @@ namespace kosha {
 
 RepairDaemon::RepairDaemon(RepairDaemonConfig config, Runtime* runtime, net::HostId host)
     : config_(config), runtime_(runtime), host_(host) {
-  assert(runtime_ != nullptr && runtime_->loop != nullptr);
+  assert(runtime_ != nullptr && runtime_->network->loop() != nullptr);
 }
 
 void RepairDaemon::start() {
@@ -27,7 +27,7 @@ void RepairDaemon::stop() {
 }
 
 void RepairDaemon::schedule_tick() {
-  EventLoop* loop = runtime_->loop;
+  EventLoop* loop = runtime_->network->loop();
   const SimDuration delay = config_.period + loop->jitter(config_.jitter);
   Runtime* runtime = runtime_;
   const net::HostId host = host_;

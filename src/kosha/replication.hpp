@@ -6,12 +6,9 @@
 // on its K closest leaf-set neighbors. Replicas live in a hidden area of
 // the replica node's store (/.r/<primary-id>/...), inaccessible through
 // koshad, and count against the node's capacity. The primary:
-//   * mirrors every mutation to its replicas. How the fan-out charges the
-//     foreground op depends on KoshaConfig::mirror_mode: off the critical
-//     path entirely (kBackground, the paper's model — traffic counted, no
-//     delay), one wire at a time (kSequential — the op pays the sum), or
-//     all K wires at once (kOverlapped — the op pays only the slowest
-//     target),
+//   * mirrors every mutation to its replicas asynchronously, off the
+//     client's critical path: the traffic is counted, the foreground op is
+//     not delayed,
 //   * re-establishes replicas when its leaf set changes,
 //   * migrates anchors whose key space moved to a newly joined node,
 //   * and is replaced on failure by the neighbor that now owns its keys,
@@ -51,19 +48,13 @@ using AnchorMap = std::map<std::string, std::string, std::less<>>;
 [[nodiscard]] const std::string* deepest_anchor(const AnchorMap& anchors,
                                                 std::string_view stored_path);
 
-/// Per-primary mirroring costs, kept in both charging models so any mode's
-/// run can report what the other two would have cost (bench/concurrency
-/// compares them without re-running).
+/// Per-primary mirroring counters.
 struct MirrorStats {
   std::uint64_t rpcs = 0;     // individual mirror messages sent
   std::uint64_t batches = 0;  // mutations that fanned out (>=1 live target)
   /// Mirror applications that failed on a target (typically NOSPC): the
   /// replica is stale until the repair daemon's audit re-pushes it.
   std::uint64_t errors = 0;
-  /// Total wire time one-at-a-time execution would charge (sum over
-  /// targets) vs. all-at-once execution (max per batch, accumulated).
-  SimDuration sequential{};
-  SimDuration overlapped{};
 
   friend bool operator==(const MirrorStats&, const MirrorStats&) = default;
 };
@@ -156,9 +147,9 @@ class ReplicaManager {
   }
   /// Live replica target hosts for mirroring.
   [[nodiscard]] std::vector<net::HostId> live_target_hosts() const;
-  /// Charge + apply one mirror message per live target, under the
-  /// configured MirrorMode's timing model. `apply` receives the target
-  /// host; returns the number of messages sent.
+  /// Charge + apply one mirror message per live target in the background
+  /// (clock paused). `apply` receives the target host; returns the number
+  /// of messages sent.
   std::size_t fan_out(std::size_t payload, const std::function<void(net::HostId)>& apply);
   /// fan_out specialised to "apply `op` at the replicated stored path on
   /// every live target" (every mirror op except rename).

@@ -13,7 +13,6 @@
 
 namespace kosha {
 
-class EventLoop;
 class MetricsRegistry;
 class RepairDaemon;
 class ReplicaManager;
@@ -28,12 +27,6 @@ struct Runtime {
   pastry::PastryOverlay* overlay = nullptr;
   nfs::ServerDirectory* servers = nullptr;
   KoshaConfig config;
-
-  /// The discrete-event scheduler driving the cluster (null in the legacy
-  /// serial execution model). Same pointer as network->loop(); kept here
-  /// so node-level components can ask "is this run event-driven?" without
-  /// reaching through the network.
-  EventLoop* loop = nullptr;
 
   /// Cluster-wide observability sinks (nullptr = off, the default). Set by
   /// KoshaCluster before any node-level component is constructed, so

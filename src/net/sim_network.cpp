@@ -67,8 +67,8 @@ SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
                                               std::size_t payload_bytes, SimDuration at) {
   // Mirrors try_message byte-for-byte on the counters and the Rng stream
   // (judge, then one spike draw per delivered non-local message) so a
-  // single-in-flight event-driven schedule replays the serial model's
-  // numbers exactly.
+  // single-in-flight event-driven schedule replays the loop-less serial
+  // path's numbers exactly.
   SimDuration spike{};
   if (fault_plan_ != nullptr) {
     switch (fault_plan_->judge(src, dst, at)) {

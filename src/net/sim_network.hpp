@@ -78,8 +78,8 @@ struct NetStats {
   /// Messages blocked by an active partition window.
   std::uint64_t partitioned = 0;
   /// Total virtual time requests spent queued behind earlier requests at
-  /// their destination's service queue (event-driven execution only — the
-  /// serial model admits every request instantly).
+  /// their destination's service queue (with an event loop attached only —
+  /// the loop-less serial path admits every request instantly).
   std::uint64_t queue_delay_ns = 0;
   /// Highest number of simultaneously in-flight (arrived, not yet
   /// completed) RPCs observed at any single host.
@@ -137,7 +137,8 @@ class SimNetwork {
 
   /// Attach the discrete-event scheduler. Non-null switches NfsClient's
   /// synchronous API onto the completion-based core; null (the default)
-  /// keeps the legacy serial call-and-advance model.
+  /// keeps the serial call-and-advance path, which the baseline NFS
+  /// comparator uses. KoshaCluster always attaches its loop.
   void set_event_loop(EventLoop* loop) { loop_ = loop; }
   [[nodiscard]] EventLoop* loop() const { return loop_; }
 

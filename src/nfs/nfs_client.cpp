@@ -119,11 +119,12 @@ template <typename ReplyT, typename Invoke, typename ReplyBytes>
 NfsResult<ReplyT> NfsClient::transact_impl(std::size_t proc_slot, net::HostId server,
                                            std::size_t request_bytes, Invoke&& invoke,
                                            ReplyBytes&& reply_bytes) {
-  // Event-driven execution: run the RPC through the completion-based core
-  // and drive the loop until our completion fires — the thin synchronous
-  // wrapper of the async split. A paused clock falls back to the serial
-  // path, where charges are already no-ops (background work must not
-  // occupy real service-queue time).
+  // With an event loop attached (every KoshaCluster), run the RPC through
+  // the completion-based core and drive the loop until our completion
+  // fires. The serial path below serves two callers: a client on a network
+  // without a loop (the baseline NFS comparator), and background work under
+  // a paused clock, whose charges are no-ops and must not occupy real
+  // service-queue time.
   if (EventLoop* loop = network_->loop();
       loop != nullptr && !network_->clock().paused()) {
     std::optional<NfsResult<ReplyT>> final_reply;
@@ -138,9 +139,8 @@ NfsResult<ReplyT> NfsClient::transact_impl(std::size_t proc_slot, net::HostId se
 
   if (overload_.enabled) {
     if (budget_.has_value()) budget_->earn();
-    // Serial callers are the legacy execution model or background work
-    // under a paused clock; the latter is low-priority and sheds at the
-    // tighter admission bound so anti-entropy yields to client RPCs.
+    // Background work under a paused clock is low-priority and sheds at
+    // the tighter admission bound so anti-entropy yields to client RPCs.
     const bool low_priority = network_->clock().paused();
     const SimDuration now = network_->clock().now();
     // Background work runs between foreground ops, when the last stamped

@@ -21,8 +21,8 @@
 // may have executed with its reply lost — re-issuing a non-idempotent op
 // requires adopting an already-applied result; see koshad's ladder).
 //
-// A third regime exists when RetryPolicy::response_timeout > 0 (the
-// event-driven model only): a *delivered* request whose reply has not come
+// A third regime exists when RetryPolicy::response_timeout > 0 (with an
+// event loop attached only): a *delivered* request whose reply has not come
 // back within the timeout is abandoned and retransmitted. The abandoned
 // copy keeps queueing and executing server-side — that dead work is the
 // raw material of metastable congestive collapse, which is why abandonment
@@ -106,16 +106,15 @@ class NfsClient {
   /// breakers). All zero while overload control is disabled.
   [[nodiscard]] OverloadClientStats overload_stats() const;
 
-  /// The completion-based RPC core of the event-driven execution model.
-  /// Sends the request now; every later step — wire arrival, admission to
-  /// the destination's service queue, execution, the reply's wire trip,
-  /// timeout detection, and retry backoff — is a scheduled event on the
-  /// network's event loop, so other work interleaves with this RPC in
-  /// virtual time. `done` fires from the loop with the final result (the
-  /// reply, or kTimedOut/kUnreachable once retries are exhausted — same
-  /// semantics as the synchronous path, which is now a thin wrapper that
-  /// drives the loop until its own completion fires). Requires
-  /// `network()->loop() != nullptr`.
+  /// The completion-based RPC core. Sends the request now; every later
+  /// step — wire arrival, admission to the destination's service queue,
+  /// execution, the reply's wire trip, timeout detection, and retry
+  /// backoff — is a scheduled event on the network's event loop, so other
+  /// work interleaves with this RPC in virtual time. `done` fires from the
+  /// loop with the final result (the reply, or kTimedOut/kUnreachable once
+  /// retries are exhausted). With a loop attached the synchronous API is a
+  /// thin wrapper that drives the loop until its own completion fires.
+  /// Requires `network()->loop() != nullptr`.
   template <typename ReplyT, typename Invoke, typename ReplyBytes>
   void call_async(std::size_t proc_slot, net::HostId server, std::size_t request_bytes,
                   Invoke invoke, ReplyBytes reply_bytes,
@@ -164,8 +163,9 @@ class NfsClient {
   SendOutcome send_request(net::HostId server, std::size_t request_bytes, NfsServer** out);
   [[nodiscard]] bool deliver_reply(net::HostId server, std::size_t reply_bytes);
   /// Exponential backoff (with jitter) before retry `attempt`; consumes
-  /// one jitter draw. The serial path charges it on the clock, the async
-  /// path turns it into a timer event.
+  /// one jitter draw. The loop-less serial path (baseline NFS, paused
+  /// background work) charges it on the clock; call_async turns it into a
+  /// timer event.
   [[nodiscard]] SimDuration backoff_duration(unsigned attempt);
   /// Charge the exponential backoff (with jitter) before retry `attempt`.
   void backoff(unsigned attempt);
@@ -236,8 +236,8 @@ class NfsClient {
 // The timeline replays the serial retry loop exactly when nothing else is
 // in flight: the fault plan judges each message at the same virtual
 // instants, the jitter stream is drawn in the same order, and every
-// NetStats counter moves identically — that equivalence is what lets the
-// synchronous wrapper switch execution models without changing a number.
+// NetStats counter moves identically — so a single-in-flight run charges
+// the same numbers with or without a loop attached.
 //
 // With response_timeout > 0 ("timed mode") the machine grows a second
 // track: every transmission arms an abandonment timer, and a request's

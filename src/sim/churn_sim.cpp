@@ -121,7 +121,6 @@ ChurnResult simulate_churn(const ChurnSimConfig& config) {
   ClusterConfig cc;
   cc.nodes = config.nodes;
   cc.seed = config.seed;
-  cc.event_driven = true;
   cc.kosha.replicas = config.replicas;
   cc.kosha.distribution_level = config.level;
   cc.self_heal.enabled = !config.oracle;

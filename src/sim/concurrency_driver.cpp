@@ -87,7 +87,7 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     if (pick == clients.size()) break;  // every client is done
 
     Client& cl = clients[pick];
-    if (config.overlap) clock.set_now(cl.local);
+    clock.set_now(cl.local);
     const SimDuration before = clock.now();
 
     const std::size_t op = cl.next_op++;
@@ -118,9 +118,8 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     if (op_latency != nullptr) op_latency->record(took.to_micros());
   }
 
-  // Leave the cluster clock at the workload's end: the latest client
-  // finish when timelines overlapped (serial runs are already there).
-  if (config.overlap) clock.set_now(finish);
+  // Leave the cluster clock at the workload's end: the latest client finish.
+  clock.set_now(finish);
   result.makespan = finish - t0;
   return result;
 }

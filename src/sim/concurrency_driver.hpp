@@ -10,10 +10,6 @@
 // client index), hopping the cluster clock between per-client timelines,
 // so service-queue contention at the storage nodes is observed in
 // timestamp order and the schedule is deterministic for a given seed.
-//
-// With `overlap` off the same op sequence is charged serially — every
-// client pays for every other client's ops — which is the legacy
-// one-RPC-at-a-time model. bench/concurrency_bench compares the two.
 
 #include <algorithm>
 #include <cmath>
@@ -67,9 +63,6 @@ struct WorkloadConfig {
   /// Whole-file reads (with content verification) per file after the
   /// write pass.
   std::size_t reads_per_file = 2;
-  /// true: client timelines overlap (makespan = latest finish − start).
-  /// false: ops are charged back-to-back (makespan = sum of all ops).
-  bool overlap = true;
   /// Read-pass popularity skew. 0 (default) keeps the legacy round-robin
   /// file selection; > 0 draws each read's file from Zipf(zipf_s) using a
   /// per-client stream forked from the cluster seed, so hot-file
@@ -78,6 +71,7 @@ struct WorkloadConfig {
 };
 
 struct WorkloadResult {
+  /// Latest client finish minus the start (client timelines overlap).
   SimDuration makespan{};
   /// Sum of per-op latencies across all clients (the serial-equivalent
   /// cost of the same schedule).

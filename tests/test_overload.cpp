@@ -321,7 +321,6 @@ TEST(Zipf, SkewedWorkloadRunsCleanAndDeterministically) {
     config.nodes = 4;
     config.kosha.replicas = 2;
     config.seed = 913;
-    config.event_driven = true;
     KoshaCluster cluster(config);
     sim::WorkloadConfig workload;
     workload.clients = 4;
@@ -348,7 +347,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
     config.nodes = 4;
     config.kosha.replicas = 2;
     config.seed = 515;
-    config.event_driven = true;
     if (configure_knobs) {
       // Every knob set to a non-default value — but enabled stays false,
       // so none of it may influence the run.

@@ -1,8 +1,9 @@
 // Replication manager tests (paper §4.2-§4.4): replica establishment,
 // mutation mirroring, delete propagation, promotion on failure, key-space
 // migration on join, revival purge, the MIGRATION_NOT_COMPLETE repair
-// protocol (exercised with fault injection), and the anchor lookup that
-// decides which mutations get mirrored.
+// protocol (exercised with fault injection), the anchor lookup that
+// decides which mutations get mirrored, and the background timing of the
+// mirror fan-out.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "kosha/placement.hpp"
+#include "sim/concurrency_driver.hpp"
 
 namespace kosha {
 namespace {
@@ -420,6 +422,31 @@ TEST(Replication, MirrorOutsideEveryAnchorSendsNothing) {
     EXPECT_EQ(rm.mirror_remove_recursive(outside), 0u) << outside;
     EXPECT_EQ(rm.mirror_rename(outside, inside + "2"), 0u) << outside;
   }
+}
+
+TEST(Replication, BackgroundMirroringNeverDelaysForeground) {
+  // Mirroring is asynchronous (paper S4.2): more replicas send more mirror
+  // messages, but the client's ops finish at exactly the same instants.
+  const auto run = [](unsigned replicas) {
+    KoshaCluster cluster(config_for(8, replicas, 42));
+    sim::WorkloadConfig workload;
+    workload.clients = 1;
+    const auto result = sim::run_multi_client_workload(cluster, workload);
+    EXPECT_EQ(result.failures, 0u) << "K=" << replicas;
+    std::uint64_t mirror_rpcs = 0;
+    for (const net::HostId host : cluster.live_hosts()) {
+      mirror_rpcs += cluster.replicas(host).mirror_stats().rpcs;
+    }
+    return std::pair(result.makespan.ns, mirror_rpcs);
+  };
+  const auto k0 = run(0);
+  const auto k1 = run(1);
+  const auto k3 = run(3);
+  EXPECT_GT(k0.first, 0);
+  EXPECT_EQ(k1.first, k0.first);
+  EXPECT_EQ(k3.first, k0.first);
+  EXPECT_LT(k0.second, k1.second);
+  EXPECT_LT(k1.second, k3.second);
 }
 
 }  // namespace
