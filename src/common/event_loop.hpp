@@ -13,12 +13,25 @@
 //   * randomness (e.g. jittered timers) comes exclusively from the loop's
 //     seeded Rng stream, so same-seed runs replay byte-identically.
 //
-// Cancellation is lazy: cancel() marks the entry and the heap skips it on
-// pop, keeping schedule/cancel O(log n) without heap surgery.
+// Storage: the binary heap holds 24-byte keys {when, id, slot}; each
+// event's callback lives in a slot of a pool (a vector plus a free list)
+// and never moves while the heap sifts. Callbacks are EventFn, a move-only
+// callable with a fixed inline buffer, so scheduling an event allocates
+// nothing once the pool has grown to the peak number of pending events.
+//
+// Cancellation is lazy: cancel() flags the event's slot and the loop drops
+// flagged keys when they reach the head of the heap, keeping schedule and
+// dispatch O(log n) without heap surgery. cancel() itself scans the heap
+// keys for the id; only RPC abandonment timers use it.
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <unordered_set>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +40,84 @@
 namespace kosha {
 
 class SimProfiler;
+
+/// Move-only `void()` callable stored entirely inline: no heap fallback.
+/// A closure whose captures exceed kCapacity bytes fails to compile, so
+/// holding a scheduled callback never allocates.
+class EventFn {
+ public:
+  static constexpr std::size_t kCapacity = 112;
+
+  EventFn() = default;
+
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, EventFn> &&
+             std::invocable<std::remove_cvref_t<F>&>)
+  EventFn(F&& f)  // NOLINT(google-explicit-constructor,bugprone-forwarding-reference-overload)
+      : ops_(&kOps<std::remove_cvref_t<F>>) {
+    using D = std::remove_cvref_t<F>;
+    static_assert(sizeof(D) <= kCapacity, "event callback captures exceed EventFn::kCapacity");
+    static_assert(alignof(D) <= alignof(std::max_align_t), "over-aligned event callback");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "event callbacks must be nothrow-movable");
+    std::construct_at(reinterpret_cast<D*>(buf_), std::forward<F>(f));
+  }
+
+  EventFn(EventFn&& other) noexcept { take(other); }
+  EventFn& operator=(EventFn&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventFn(const EventFn&) = delete;
+  EventFn& operator=(const EventFn&) = delete;
+  ~EventFn() { reset(); }
+
+  void operator()() { ops_->invoke(buf_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    /// Move-construct into `to` and destroy the source; nullptr when a
+    /// byte copy does both (trivially copyable callables).
+    void (*relocate)(void* from, void* to) noexcept;
+    /// nullptr when destruction is a no-op.
+    void (*destroy)(void* self) noexcept;
+  };
+  template <typename D>
+  static constexpr Ops kOps = {
+      [](void* self) { (*static_cast<D*>(self))(); },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](void* from, void* to) noexcept {
+              D* src = static_cast<D*>(from);
+              std::construct_at(static_cast<D*>(to), std::move(*src));
+              std::destroy_at(src);
+            },
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* self) noexcept { std::destroy_at(static_cast<D*>(self)); },
+  };
+
+  void take(EventFn& other) noexcept {
+    ops_ = std::exchange(other.ops_, nullptr);
+    if (ops_ == nullptr) return;
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(other.buf_, buf_);
+    } else {
+      std::memcpy(buf_, other.buf_, kCapacity);
+    }
+  }
+  void reset() noexcept {
+    const Ops* ops = std::exchange(ops_, nullptr);
+    if (ops != nullptr && ops->destroy != nullptr) ops->destroy(buf_);
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
 
 class EventLoop {
  public:
@@ -45,14 +136,15 @@ class EventLoop {
   /// `category` labels the event for the profiler's per-category cost
   /// accounting; it must point at storage outliving the event (string
   /// literals). Untagged call sites fall into "event".
-  EventId schedule_at(SimDuration when, std::function<void()> fn);
-  EventId schedule_at(SimDuration when, const char* category, std::function<void()> fn);
+  EventId schedule_at(SimDuration when, EventFn fn);
+  EventId schedule_at(SimDuration when, const char* category, EventFn fn);
   /// Schedule `fn` at now + `delay` (timers, retry backoff).
-  EventId schedule_after(SimDuration delay, std::function<void()> fn);
-  EventId schedule_after(SimDuration delay, const char* category, std::function<void()> fn);
+  EventId schedule_after(SimDuration delay, EventFn fn);
+  EventId schedule_after(SimDuration delay, const char* category, EventFn fn);
 
   /// Cancel a pending event. Returns false when the event already ran,
-  /// was cancelled before, or never existed.
+  /// was cancelled before, or never existed (a stale id whose slot now
+  /// holds a newer event cancels nothing).
   bool cancel(EventId id);
 
   /// Dispatch the earliest pending event, advancing the clock to its
@@ -76,7 +168,7 @@ class EventLoop {
   [[nodiscard]] SimDuration now() const { return clock_->now(); }
   [[nodiscard]] SimClock& clock() { return *clock_; }
   /// Pending (scheduled, not yet run or cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_pending_; }
 
   /// The loop's deterministic randomness stream; the only sanctioned
   /// source of scheduling jitter.
@@ -101,25 +193,42 @@ class EventLoop {
   [[nodiscard]] SimProfiler* profiler() const { return profiler_; }
 
  private:
-  struct Entry {
+  /// Heap key. Min-heap order: earliest time first, then lowest
+  /// (earliest-assigned) id — the monotonic tie-break that keeps
+  /// same-time dispatch FIFO.
+  struct Key {
     SimDuration when;
-    EventId id = kInvalidEvent;  // monotonic: doubles as the tie-break
-    const char* category = "event";
-    std::function<void()> fn;
+    EventId id = kInvalidEvent;
+    std::uint32_t slot = 0;
   };
-  /// Min-heap order: earliest time first, then lowest (earliest-assigned)
-  /// id — the monotonic tie-break that keeps same-time dispatch FIFO.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when.ns != b.when.ns) return a.when.ns > b.when.ns;
       return a.id > b.id;
     }
   };
+  struct Slot {
+    EventFn fn;
+    const char* category = "event";
+    bool cancelled = false;
+  };
+
+  /// Shared body of the schedule_* overloads: `fn` moves into a slot.
+  EventId push(SimDuration when, const char* category, EventFn& fn);
+  /// Pop the heap's head key and return its slot to the free list; the
+  /// caller must have taken whatever it needs from the slot first.
+  Key pop_head();
+  /// Drop cancelled keys at the heap's head, so the head (if any) is the
+  /// earliest live event.
+  void drop_cancelled_heads();
 
   SimClock* clock_;
   Rng rng_;
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Cancelled keys still sitting in the heap.
+  std::size_t cancelled_pending_ = 0;
   EventId next_id_ = 1;
   Stats stats_;
   SimProfiler* profiler_ = nullptr;

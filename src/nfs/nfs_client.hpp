@@ -496,9 +496,10 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
       c->network_->end_service(server, end);
       c->network_->note_service_time(server, end - begin);
       auto self = this->shared_from_this();
-      auto boxed = std::make_shared<NfsResult<ReplyT>>(std::move(reply));
       loop->schedule_at(end, "rpc.depart",
-                        [self, boxed, born] { self->depart(std::move(*boxed), born); });
+                        [self, reply = std::move(reply), born]() mutable {
+                          self->depart(std::move(reply), born);
+                        });
     }
 
     /// Service finished: send the reply back over the wire.
@@ -515,9 +516,10 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
       }
       c->network_->note_proc_message(slot, rb);
       auto self = this->shared_from_this();
-      auto boxed = std::make_shared<NfsResult<ReplyT>>(std::move(reply));
       loop->schedule_at(plan.arrival, "rpc.done",
-                        [self, boxed, born] { self->handle_result(std::move(*boxed), born); });
+                        [self, reply = std::move(reply), born]() mutable {
+                          self->handle_result(std::move(reply), born);
+                        });
     }
 
     /// A reply (or admission rejection) reached the client. `born` tells

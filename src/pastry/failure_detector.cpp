@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 #include "common/tracing.hpp"
@@ -29,6 +30,11 @@ FailureDetector::FailureDetector(FailureDetectorConfig config, PastryOverlay* ov
       host_(host),
       boot_(boot) {
   assert(overlay_ != nullptr && network_ != nullptr && loop_ != nullptr);
+  if (config_.probe_timeout >= config_.probe_period) {
+    throw std::invalid_argument(
+        "FailureDetectorConfig: probe_timeout must be < probe_period, so each "
+        "round's miss timer fires before the next round starts");
+  }
 }
 
 void FailureDetector::start() {
@@ -94,15 +100,34 @@ void FailureDetector::prune_state() {
 void FailureDetector::tick() {
   if (!running_) return;
   prune_state();
+  round_.clear();
   for (const NodeId m : overlay_->leaf_set(self_).members()) {
     if (m == self_) continue;
     if (has_declared_dead(m)) continue;
-    probe(m);
+    round_.push_back(RoundProbe{m, 0});
+  }
+  if (!round_.empty()) {
+    // The round's miss timers would all fire at the same instant, so one
+    // event checks them all, in probe order. It always runs; an ack
+    // recorded before it fires wins. Scheduled ahead of the probes, it
+    // dispatches where the round's first per-probe timer would have.
+    PastryOverlay* overlay = overlay_;
+    const NodeId self = self_;
+    loop_->schedule_after(config_.probe_timeout, "fd.timeout", [overlay, self] {
+      if (FailureDetector* d = overlay->detector(self)) d->on_round_timeout();
+    });
+    for (RoundProbe& p : round_) p.seq = probe(p.target);
   }
   schedule_tick();
 }
 
-void FailureDetector::probe(NodeId target) {
+void FailureDetector::on_round_timeout() {
+  // probe_timeout < probe_period: the next tick cannot have refilled
+  // round_ yet, and on_probe_timeout never dispatches events.
+  for (const RoundProbe& p : round_) on_probe_timeout(p.target, p.seq);
+}
+
+std::uint64_t FailureDetector::probe(NodeId target) {
   PeerState& state = peers_[target];
   const std::uint64_t seq = ++state.last_seq;
   ++stats_.probes_sent;
@@ -112,15 +137,10 @@ void FailureDetector::probe(NodeId target) {
   const NodeId self = self_;
   const std::uint64_t self_boot = boot_;
 
-  // The miss timer always runs; an ack recorded before it fires wins.
-  loop_->schedule_after(config_.probe_timeout, "fd.timeout", [overlay, self, target, seq] {
-    if (FailureDetector* d = overlay->detector(self)) d->on_probe_timeout(target, seq);
-  });
-
   const net::HostId target_host = overlay_->host_of(target);
-  if (!network_->is_up(target_host)) return;  // dead host: the wire eats it
+  if (!network_->is_up(target_host)) return seq;  // dead host: the wire eats it
   const auto request = network_->plan_message(host_, target_host, kProbeBytes, loop_->now());
-  if (!request.delivered) return;
+  if (!request.delivered) return seq;
 
   const net::HostId self_host = host_;
   loop_->schedule_at(request.arrival, "fd.probe",
@@ -140,6 +160,7 @@ void FailureDetector::probe(NodeId target) {
                                            }
                                          });
                      });
+  return seq;
 }
 
 bool FailureDetector::on_probe_request(NodeId from, std::uint64_t from_boot) {

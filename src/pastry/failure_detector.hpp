@@ -17,6 +17,11 @@
 //   kSuspected --(confirm_rounds indirect rounds all fail)--> kDead
 //   kDead --(probe request from the peer, boot verified)--> kAlive
 //
+// Each probe round (tick) sends one direct probe per monitored peer and
+// schedules one miss timer for the whole round, probe_timeout later: every
+// probe of the round still unacked when it fires counts as a miss. Config
+// requires probe_timeout < probe_period, so rounds never overlap.
+//
 // Two false-positive suppressions beyond the miss threshold:
 //   * confirm-before-declare: a suspected peer is only declared dead after
 //     `confirm_rounds` rounds of indirect probing through distinct helper
@@ -46,6 +51,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "common/event_loop.hpp"
 #include "common/sim_clock.hpp"
@@ -62,7 +68,9 @@ struct FailureDetectorConfig {
   SimDuration probe_period = SimDuration::millis(100);
   SimDuration probe_jitter = SimDuration::millis(15);
   /// A probe unanswered for this long counts as a miss. Must exceed the
-  /// round-trip (2 hops + any latency spike) by a wide margin.
+  /// round-trip (2 hops + any latency spike) by a wide margin, and must be
+  /// below probe_period (the constructor throws otherwise): a round's miss
+  /// timer fires before the next round starts.
   SimDuration probe_timeout = SimDuration::millis(50);
   /// Consecutive direct misses before a peer becomes suspected.
   unsigned suspicion_threshold = 3;
@@ -127,6 +135,9 @@ class FailureDetector {
   void on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot);
   /// Probe `seq` of `target` has been outstanding for probe_timeout.
   void on_probe_timeout(NodeId target, std::uint64_t seq);
+  /// The current round's probes have been outstanding for probe_timeout:
+  /// on_probe_timeout for each, in probe order.
+  void on_round_timeout();
   /// An indirect confirmation round for `target` resolved.
   void on_confirmation(NodeId target, std::uint64_t generation, bool reached);
   /// Retry confirmation after a quarantined verdict.
@@ -152,8 +163,16 @@ class FailureDetector {
     std::uint64_t generation = 0;
   };
 
+  /// One direct probe of the current round, and the seq it was sent with.
+  struct RoundProbe {
+    NodeId target;
+    std::uint64_t seq = 0;
+  };
+
   void schedule_tick();
-  void probe(NodeId target);
+  /// Send one direct probe; returns its seq. The miss check is the
+  /// round's (see tick()).
+  std::uint64_t probe(NodeId target);
   void start_confirmation_round(NodeId target, std::uint64_t generation);
   void declare_dead(NodeId target, PeerState& state);
   /// Record a detector lifecycle moment (suspect/refute/declare/reinstate/
@@ -178,6 +197,9 @@ class FailureDetector {
   /// Last virtual time any peer acked a direct probe (isolation guard).
   SimDuration last_ack_time_{};
   std::map<NodeId, PeerState> peers_;
+  /// The current round's probes, checked by its single miss timer. Reused
+  /// across rounds, so steady-state ticks do not allocate for it.
+  std::vector<RoundProbe> round_;
   FailureDetectorStats stats_;
 };
 

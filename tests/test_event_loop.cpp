@@ -1,12 +1,15 @@
 // EventLoop: dispatch ordering, monotonic tie-breaking, timer
-// cancellation, and the determinism rules of DESIGN §6 (same-seed runs
-// replay byte-identically, no wall-clock anywhere).
+// cancellation, the determinism rules of DESIGN §6 (same-seed runs
+// replay byte-identically, no wall-clock anywhere), and the slot pool
+// behind it: callback lifetimes, slot reuse and growth during dispatch.
 
 #include "common/event_loop.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace kosha {
@@ -195,6 +198,111 @@ TEST(EventLoop, RunUntilTimeSkipsCancelledHeads) {
   EXPECT_EQ(loop.run_until_time(SimDuration::millis(5)), 1u);
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(clock.now(), SimDuration::millis(5));
+}
+
+TEST(EventLoop, AcceptsMoveOnlyCaptures) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  loop.schedule_after(SimDuration::millis(1), [&seen, p = std::move(owned)] { seen = *p; });
+  loop.run_until_idle();
+  EXPECT_EQ(seen, 7);
+}
+
+/// Counts destructions of instances that still own their token (moved-from
+/// shells do not count), so each logical capture must report exactly one.
+struct DestroyCounter {
+  int* destroyed;
+  bool owner = true;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(other.destroyed), owner(std::exchange(other.owner, false)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (owner) ++*destroyed;
+  }
+};
+
+TEST(EventLoop, EveryCaptureIsDestroyedExactlyOnce) {
+  int ran_destroyed = 0;
+  int cancelled_destroyed = 0;
+  int pending_destroyed = 0;
+  int ran = 0;
+  {
+    SimClock clock;
+    EventLoop loop(&clock);
+    for (int i = 0; i < 3; ++i) {
+      loop.schedule_at(SimDuration::millis(1), [&ran, c = DestroyCounter(&ran_destroyed)] {
+        ++ran;
+      });
+    }
+    const auto doomed = loop.schedule_at(
+        SimDuration::millis(2), [&ran, c = DestroyCounter(&cancelled_destroyed)] { ++ran; });
+    loop.schedule_at(SimDuration::millis(9),
+                     [&ran, c = DestroyCounter(&pending_destroyed)] { ++ran; });
+    ASSERT_TRUE(loop.cancel(doomed));
+    loop.run_until_time(SimDuration::millis(5));
+    EXPECT_EQ(ran, 3);
+    EXPECT_EQ(ran_destroyed, 3);        // after running
+    EXPECT_EQ(cancelled_destroyed, 1);  // when the cancelled key was dropped
+    EXPECT_EQ(pending_destroyed, 0);    // still waiting
+  }
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(ran_destroyed, 3);
+  EXPECT_EQ(cancelled_destroyed, 1);
+  EXPECT_EQ(pending_destroyed, 1);  // by the loop's destructor
+}
+
+TEST(EventLoop, StaleIdWhoseSlotWasReusedCancelsNothing) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  const auto first = loop.schedule_after(SimDuration::millis(1), [] {});
+  loop.run_until_idle();  // frees first's slot
+  bool fired = false;
+  const auto second = loop.schedule_after(SimDuration::millis(1), [&] { fired = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(loop.cancel(first));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_until_idle();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(loop.stats().cancelled, 0u);
+}
+
+TEST(EventLoop, SameTimeTiesStayFifoAcrossSlotReuse) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  std::string order;
+  // Fill and drain a few slots so the free list hands them back in an
+  // order unrelated to scheduling order.
+  for (int i = 0; i < 4; ++i) loop.schedule_at(SimDuration::millis(1), [] {});
+  loop.run_until_idle();
+  const SimDuration t = SimDuration::millis(2);
+  for (char c : std::string("abcdefgh")) {
+    loop.schedule_at(t, [&order, c] { order.push_back(c); });
+  }
+  loop.run_until_idle();
+  EXPECT_EQ(order, "abcdefgh");
+}
+
+TEST(EventLoop, CallbackMayGrowThePoolWhileItRuns) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  int children = 0;
+  std::string seen;
+  std::string label(64, 'x');  // a capture that must survive the growth
+  loop.schedule_after(SimDuration::millis(1), [&, label] {
+    for (int i = 0; i < 1000; ++i) {
+      loop.schedule_after(SimDuration::millis(1), [&children] { ++children; });
+    }
+    seen = label;  // read after the pool moved every pending slot
+  });
+  loop.run_until_idle();
+  EXPECT_EQ(seen, label);
+  EXPECT_EQ(children, 1000);
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 TEST(SimClockExtensions, AdvanceToAndSetNowRespectPause) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -195,19 +196,24 @@ TEST(FailureDetector, IsolatedNodeQuarantinesItsVerdicts) {
   }
 }
 
+/// A seeded flapping soak: a brownout and 3% drops, then a crash.
+void run_flapping_soak(KoshaCluster& cluster, std::uint64_t seed) {
+  KoshaMount mount(&cluster.daemon(0));
+  (void)write_dataset(mount, 6, "det");
+  const SimDuration t0 = cluster.clock().now();
+  auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{seed + 1, 0.03, 0.0, {}});
+  plan->add_brownout(cluster.live_hosts().back(), t0 + SimDuration::millis(200),
+                     t0 + SimDuration::millis(700));
+  cluster.network().set_fault_plan(std::move(plan));
+  run_for(cluster, SimDuration::seconds(4));
+  cluster.fail_node(cluster.live_hosts()[3]);
+  run_for(cluster, SimDuration::seconds(8));
+}
+
 TEST(FailureDetector, FlappingRunsAreByteIdenticalUnderOneSeed) {
   const auto fingerprint = [](std::uint64_t seed) {
     KoshaCluster cluster(self_heal_config(9, seed));
-    KoshaMount mount(&cluster.daemon(0));
-    (void)write_dataset(mount, 6, "det");
-    const SimDuration t0 = cluster.clock().now();
-    auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{seed + 1, 0.03, 0.0, {}});
-    plan->add_brownout(cluster.live_hosts().back(), t0 + SimDuration::millis(200),
-                       t0 + SimDuration::millis(700));
-    cluster.network().set_fault_plan(std::move(plan));
-    run_for(cluster, SimDuration::seconds(4));
-    cluster.fail_node(cluster.live_hosts()[3]);
-    run_for(cluster, SimDuration::seconds(8));
+    run_flapping_soak(cluster, seed);
 
     const auto stats = total_stats(cluster);
     std::string fp = audit_digest(cluster);
@@ -222,6 +228,33 @@ TEST(FailureDetector, FlappingRunsAreByteIdenticalUnderOneSeed) {
   };
   EXPECT_EQ(fingerprint(76), fingerprint(76));
   EXPECT_NE(fingerprint(76), fingerprint(77));  // the seed actually steers it
+}
+
+/// Golden detector totals for one seeded soak, recorded when every probe
+/// still armed its own miss timer. Checking a round's probes from one
+/// timer event must not change a single verdict.
+TEST(FailureDetector, SeededSoakMatchesGoldenTotals) {
+  KoshaCluster cluster(self_heal_config(9, 76));
+  run_flapping_soak(cluster, 76);
+  const auto stats = total_stats(cluster);
+  EXPECT_EQ(stats.probes_sent, 6527u);
+  EXPECT_EQ(stats.acks_received, 6066u);
+  EXPECT_EQ(stats.probe_misses, 458u);
+  EXPECT_EQ(stats.suspicions, 23u);
+  EXPECT_EQ(stats.indirect_rounds, 46u);
+  EXPECT_EQ(stats.refutations, 8u);
+  EXPECT_EQ(stats.declared_dead, 15u);
+  EXPECT_EQ(stats.reinstated, 7u);
+  EXPECT_EQ(stats.quarantined_verdicts, 7u);
+}
+
+TEST(FailureDetector, RejectsProbeTimeoutNotBelowPeriod) {
+  ClusterConfig config = self_heal_config(4, 78);
+  config.self_heal.detector.probe_timeout = config.self_heal.detector.probe_period;
+  EXPECT_THROW(KoshaCluster cluster(config), std::invalid_argument);
+  config.self_heal.detector.probe_timeout =
+      config.self_heal.detector.probe_period + SimDuration::millis(1);
+  EXPECT_THROW(KoshaCluster cluster(config), std::invalid_argument);
 }
 
 }  // namespace
