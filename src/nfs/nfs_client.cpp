@@ -4,6 +4,7 @@
 #include <cassert>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/metrics.hpp"
 #include "common/profile.hpp"
@@ -11,6 +12,32 @@
 #include "nfs/wire.hpp"
 
 namespace kosha::nfs {
+
+namespace {
+
+/// Timed mode (see nfs_client.hpp): an abandoned attempt's server-side
+/// chain keeps running after the synchronous caller has returned, so the
+/// invoke closure must not point into the caller's frame.
+bool timed(const RetryPolicy& retry) { return retry.response_timeout.ns > 0; }
+
+/// A string argument an invoke closure carries to the server: borrowed
+/// from the caller when every server chain ends before the caller returns,
+/// an owned copy in timed mode. Handles and scalars are captured by value.
+class ArgString {
+ public:
+  ArgString(std::string_view text, bool own)
+      : borrowed_(own ? std::string_view{} : text), owned_(own ? text : std::string_view{}),
+        own_(own) {}
+
+  [[nodiscard]] std::string_view view() const { return own_ ? owned_ : borrowed_; }
+
+ private:
+  std::string_view borrowed_;
+  std::string owned_;
+  bool own_;
+};
+
+}  // namespace
 
 NfsClient::NfsClient(net::SimNetwork* network, const ServerDirectory* directory,
                      net::HostId self, RetryPolicy retry, std::uint64_t jitter_seed,
@@ -225,7 +252,9 @@ NfsResult<HandleReply> NfsClient::lookup(FileHandle dir, std::string_view name) 
   return transact<HandleReply>(
       NfsProc::kLookup, dir.server,
       encode_diropargs_call(next_xid(), NfsProc::kLookup, dir, name).size(),
-      [&](NfsServer& s) { return s.lookup(dir, name); },
+      [dir, name = ArgString(name, timed(retry_))](NfsServer& s) {
+        return s.lookup(dir, name.view());
+      },
       [](const NfsResult<HandleReply>&) { return kReplyBytes; });
 }
 
@@ -233,7 +262,7 @@ NfsResult<fs::Attr> NfsClient::getattr(FileHandle obj) {
   return transact<fs::Attr>(
       NfsProc::kGetattr, obj.server,
       encode_handle_call(next_xid(), NfsProc::kGetattr, obj).size(),
-      [&](NfsServer& s) { return s.getattr(obj); },
+      [obj](NfsServer& s) { return s.getattr(obj); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
 
@@ -244,7 +273,7 @@ NfsResult<fs::Attr> NfsClient::set_mode(FileHandle obj, std::uint32_t mode) {
   return transact<fs::Attr>(
       NfsProc::kSetattr, obj.server,
       encode_setattr_call(xid, obj, true, mode, false, 0).size(),
-      [&](NfsServer& s) { return s.set_mode(obj, mode, rpc_ctx(xid)); },
+      [this, obj, mode, xid](NfsServer& s) { return s.set_mode(obj, mode, rpc_ctx(xid)); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
 
@@ -253,7 +282,7 @@ NfsResult<fs::Attr> NfsClient::truncate(FileHandle obj, std::uint64_t size) {
   return transact<fs::Attr>(
       NfsProc::kSetattr, obj.server,
       encode_setattr_call(xid, obj, false, 0, true, size).size(),
-      [&](NfsServer& s) { return s.truncate(obj, size, rpc_ctx(xid)); },
+      [this, obj, size, xid](NfsServer& s) { return s.truncate(obj, size, rpc_ctx(xid)); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
 
@@ -262,7 +291,7 @@ NfsResult<ReadReply> NfsClient::read(FileHandle file, std::uint64_t offset,
   return transact<ReadReply>(
       NfsProc::kRead, file.server,
       encode_read_call(next_xid(), file, offset, count).size(),
-      [&](NfsServer& s) { return s.read(file, offset, count); },
+      [file, offset, count](NfsServer& s) { return s.read(file, offset, count); },
       [](const NfsResult<ReadReply>& r) {
         return kReplyBytes + (r.ok() ? r.value().data.size() : 0);
       });
@@ -275,7 +304,9 @@ NfsResult<std::uint32_t> NfsClient::write(FileHandle file, std::uint64_t offset,
   return transact<std::uint32_t>(
       NfsProc::kWrite, file.server,
       encode_write_call(next_xid(), file, offset, data).size(),
-      [&](NfsServer& s) { return s.write(file, offset, data); },
+      [file, offset, data = ArgString(data, timed(retry_))](NfsServer& s) {
+        return s.write(file, offset, data.view());
+      },
       [](const NfsResult<std::uint32_t>&) { return kReplyBytes; });
 }
 
@@ -286,7 +317,9 @@ NfsResult<HandleReply> NfsClient::create(FileHandle dir, std::string_view name,
   return transact<HandleReply>(
       NfsProc::kCreate, dir.server,
       encode_create_call(xid, NfsProc::kCreate, dir, name, mode, uid).size(),
-      [&](NfsServer& s) { return s.create(dir, name, mode, uid, gid, rpc_ctx(xid)); },
+      [this, dir, name = ArgString(name, timed(retry_)), mode, uid, gid, xid](NfsServer& s) {
+        return s.create(dir, name.view(), mode, uid, gid, rpc_ctx(xid));
+      },
       [](const NfsResult<HandleReply>&) { return kReplyBytes; });
 }
 
@@ -297,7 +330,9 @@ NfsResult<HandleReply> NfsClient::mkdir(FileHandle dir, std::string_view name,
   return transact<HandleReply>(
       NfsProc::kMkdir, dir.server,
       encode_create_call(xid, NfsProc::kMkdir, dir, name, mode, uid).size(),
-      [&](NfsServer& s) { return s.mkdir(dir, name, mode, uid, gid, rpc_ctx(xid)); },
+      [this, dir, name = ArgString(name, timed(retry_)), mode, uid, gid, xid](NfsServer& s) {
+        return s.mkdir(dir, name.view(), mode, uid, gid, rpc_ctx(xid));
+      },
       [](const NfsResult<HandleReply>&) { return kReplyBytes; });
 }
 
@@ -307,7 +342,10 @@ NfsResult<HandleReply> NfsClient::symlink(FileHandle dir, std::string_view name,
   return transact<HandleReply>(
       NfsProc::kSymlink, dir.server,
       encode_symlink_call(xid, dir, name, target).size(),
-      [&](NfsServer& s) { return s.symlink(dir, name, target, rpc_ctx(xid)); },
+      [this, dir, name = ArgString(name, timed(retry_)), target = ArgString(target, timed(retry_)),
+       xid](NfsServer& s) {
+        return s.symlink(dir, name.view(), target.view(), rpc_ctx(xid));
+      },
       [](const NfsResult<HandleReply>&) { return kReplyBytes; });
 }
 
@@ -315,7 +353,7 @@ NfsResult<std::string> NfsClient::readlink(FileHandle link) {
   return transact<std::string>(
       NfsProc::kReadlink, link.server,
       encode_handle_call(next_xid(), NfsProc::kReadlink, link).size(),
-      [&](NfsServer& s) { return s.readlink(link); },
+      [link](NfsServer& s) { return s.readlink(link); },
       [](const NfsResult<std::string>& r) {
         return kReplyBytes + (r.ok() ? r.value().size() : 0);
       });
@@ -326,7 +364,9 @@ NfsResult<Unit> NfsClient::remove(FileHandle dir, std::string_view name) {
   return transact<Unit>(
       NfsProc::kRemove, dir.server,
       encode_diropargs_call(xid, NfsProc::kRemove, dir, name).size(),
-      [&](NfsServer& s) { return s.remove(dir, name, rpc_ctx(xid)); },
+      [this, dir, name = ArgString(name, timed(retry_)), xid](NfsServer& s) {
+        return s.remove(dir, name.view(), rpc_ctx(xid));
+      },
       [](const NfsResult<Unit>&) { return kReplyBytes; });
 }
 
@@ -335,7 +375,9 @@ NfsResult<Unit> NfsClient::rmdir(FileHandle dir, std::string_view name) {
   return transact<Unit>(
       NfsProc::kRmdir, dir.server,
       encode_diropargs_call(xid, NfsProc::kRmdir, dir, name).size(),
-      [&](NfsServer& s) { return s.rmdir(dir, name, rpc_ctx(xid)); },
+      [this, dir, name = ArgString(name, timed(retry_)), xid](NfsServer& s) {
+        return s.rmdir(dir, name.view(), rpc_ctx(xid));
+      },
       [](const NfsResult<Unit>&) { return kReplyBytes; });
 }
 
@@ -346,8 +388,9 @@ NfsResult<Unit> NfsClient::rename(FileHandle from_dir, std::string_view from_nam
   return transact<Unit>(
       NfsProc::kRename, from_dir.server,
       encode_rename_call(xid, from_dir, from_name, to_dir, to_name).size(),
-      [&](NfsServer& s) {
-        return s.rename(from_dir, from_name, to_dir, to_name, rpc_ctx(xid));
+      [this, from_dir, from_name = ArgString(from_name, timed(retry_)), to_dir,
+       to_name = ArgString(to_name, timed(retry_)), xid](NfsServer& s) {
+        return s.rename(from_dir, from_name.view(), to_dir, to_name.view(), rpc_ctx(xid));
       },
       [](const NfsResult<Unit>&) { return kReplyBytes; });
 }
@@ -356,7 +399,7 @@ NfsResult<ReaddirReply> NfsClient::readdir(FileHandle dir) {
   return transact<ReaddirReply>(
       NfsProc::kReaddir, dir.server,
       encode_handle_call(next_xid(), NfsProc::kReaddir, dir).size(),
-      [&](NfsServer& s) { return s.readdir(dir); },
+      [dir](NfsServer& s) { return s.readdir(dir); },
       [](const NfsResult<ReaddirReply>& r) {
         return kReplyBytes + (r.ok() ? r.value().entries.size() * 40 : 0);
       });
@@ -366,7 +409,7 @@ NfsResult<FsstatReply> NfsClient::fsstat(net::HostId server) {
   return transact<FsstatReply>(
       NfsProc::kFsstat, server,
       encode_handle_call(next_xid(), NfsProc::kFsstat, FileHandle{server, 1, 1}).size(),
-      [&](NfsServer& s) { return s.fsstat(); },
+      [](NfsServer& s) { return s.fsstat(); },
       [](const NfsResult<FsstatReply>&) { return kReplyBytes; });
 }
 

@@ -17,6 +17,9 @@ namespace {
 constexpr std::size_t kProbeBytes = 32;
 constexpr std::size_t kIndirectBytes = 48;
 
+/// Orders peer-table entries by id (lower_bound against a bare id).
+constexpr auto id_less = [](const auto& entry, NodeId id) { return entry.first < id; };
+
 }  // namespace
 
 FailureDetector::FailureDetector(FailureDetectorConfig config, PastryOverlay* overlay,
@@ -53,14 +56,24 @@ void FailureDetector::stop() {
   if (overlay_->detector(self_) == this) overlay_->set_detector(self_, nullptr);
 }
 
+FailureDetector::PeerState* FailureDetector::find_peer(NodeId id) {
+  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id, id_less);
+  return it != peers_.end() && it->first == id ? &it->second : nullptr;
+}
+
+const FailureDetector::PeerState* FailureDetector::find_peer(NodeId id) const {
+  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id, id_less);
+  return it != peers_.end() && it->first == id ? &it->second : nullptr;
+}
+
 bool FailureDetector::is_suspected(NodeId id) const {
-  const auto it = peers_.find(id);
-  return it != peers_.end() && it->second.status == Status::kSuspected;
+  const PeerState* state = find_peer(id);
+  return state != nullptr && state->status == Status::kSuspected;
 }
 
 bool FailureDetector::has_declared_dead(NodeId id) const {
-  const auto it = peers_.find(id);
-  return it != peers_.end() && it->second.status == Status::kDead;
+  const PeerState* state = find_peer(id);
+  return state != nullptr && state->status == Status::kDead;
 }
 
 void FailureDetector::schedule_tick() {
@@ -80,21 +93,16 @@ void FailureDetector::trace_event(const char* name, NodeId peer) {
 }
 
 void FailureDetector::prune_state() {
-  const std::vector<NodeId> members = overlay_->leaf_set(self_).members();
-  for (auto it = peers_.begin(); it != peers_.end();) {
-    const bool member = std::find(members.begin(), members.end(), it->first) != members.end();
-    const bool keep_verdict =
-        it->second.status == Status::kDead && overlay_->is_live(it->first);
+  const LeafSet& leaves = overlay_->leaf_set(self_);
+  std::erase_if(peers_, [&](const auto& entry) {
+    const auto& [id, state] = entry;
     // A death verdict about a still-live peer outlives leaf membership
     // (report_failure removed it from our leaf set; the verdict is what
     // keeps repair from re-inserting it until the peer proves itself).
     // Everything else is forgotten once the peer leaves the monitored set.
-    if (!member && !keep_verdict) {
-      it = peers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    const bool keep_verdict = state.status == Status::kDead && overlay_->is_live(id);
+    return !leaves.contains(id) && !keep_verdict;
+  });
 }
 
 void FailureDetector::tick() {
@@ -128,8 +136,9 @@ void FailureDetector::on_round_timeout() {
 }
 
 std::uint64_t FailureDetector::probe(NodeId target) {
-  PeerState& state = peers_[target];
-  const std::uint64_t seq = ++state.last_seq;
+  auto it = std::lower_bound(peers_.begin(), peers_.end(), target, id_less);
+  if (it == peers_.end() || it->first != target) it = peers_.insert(it, {target, PeerState{}});
+  const std::uint64_t seq = ++it->second.last_seq;
   ++stats_.probes_sent;
   PastryOverlay* overlay = overlay_;
   net::SimNetwork* network = network_;
@@ -170,17 +179,17 @@ bool FailureDetector::on_probe_request(NodeId from, std::uint64_t from_boot) {
 }
 
 void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.status != Status::kDead) return;
+  PeerState* state = find_peer(peer);
+  if (state == nullptr || state->status != Status::kDead) return;
   if (!overlay_->is_live(peer)) return;
   // Boot verification (rejoin vs split-brain): only the incarnation we
   // declared dead may be reinstated. A revived node carries a fresh boot
   // (and a fresh id), so it joins as a new peer instead.
-  if (it->second.last_boot != 0 && it->second.last_boot != peer_boot) return;
-  it->second.status = Status::kAlive;
-  it->second.misses = 0;
-  it->second.failed_rounds = 0;
-  ++it->second.generation;
+  if (state->last_boot != 0 && state->last_boot != peer_boot) return;
+  state->status = Status::kAlive;
+  state->misses = 0;
+  state->failed_rounds = 0;
+  ++state->generation;
   ++stats_.reinstated;
   trace_event("fd.reinstate", peer);
   // Reintroduction repairs the leaf set off the critical path: the traffic
@@ -191,9 +200,9 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
 
 void FailureDetector::on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot) {
   if (!running_) return;
-  const auto it = peers_.find(target);
-  if (it == peers_.end()) return;
-  PeerState& state = it->second;
+  PeerState* found = find_peer(target);
+  if (found == nullptr) return;
+  PeerState& state = *found;
   state.last_ack_seq = std::max(state.last_ack_seq, seq);
   state.last_boot = target_boot;
   last_ack_time_ = loop_->now();
@@ -213,9 +222,9 @@ void FailureDetector::on_probe_ack(NodeId target, std::uint64_t seq, std::uint64
 
 void FailureDetector::on_probe_timeout(NodeId target, std::uint64_t seq) {
   if (!running_) return;
-  const auto it = peers_.find(target);
-  if (it == peers_.end()) return;
-  PeerState& state = it->second;
+  PeerState* found = find_peer(target);
+  if (found == nullptr) return;
+  PeerState& state = *found;
   if (state.last_ack_seq >= seq) return;  // answered in time
   ++state.misses;
   ++stats_.probe_misses;
@@ -232,9 +241,9 @@ void FailureDetector::on_probe_timeout(NodeId target, std::uint64_t seq) {
 
 void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t generation) {
   if (!running_) return;
-  const auto it = peers_.find(target);
-  if (it == peers_.end() || it->second.status != Status::kSuspected ||
-      it->second.generation != generation) {
+  const PeerState* state = find_peer(target);
+  if (state == nullptr || state->status != Status::kSuspected ||
+      state->generation != generation) {
     return;
   }
   ++stats_.indirect_rounds;
@@ -254,8 +263,8 @@ void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t gene
   for (const NodeId helper : overlay_->leaf_set(self_).members()) {
     if (used >= config_.indirect_probes) break;
     if (helper == target || helper == self_) continue;
-    const auto hs = peers_.find(helper);
-    if (hs != peers_.end() && hs->second.status != Status::kAlive) continue;
+    const PeerState* hs = find_peer(helper);
+    if (hs != nullptr && hs->status != Status::kAlive) continue;
     ++used;
     const net::HostId helper_host = overlay_->host_of(helper);
     if (!network_->is_up(helper_host)) continue;
@@ -292,12 +301,12 @@ void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t gene
 
 void FailureDetector::on_confirmation(NodeId target, std::uint64_t generation, bool reached) {
   if (!running_) return;
-  const auto it = peers_.find(target);
-  if (it == peers_.end() || it->second.status != Status::kSuspected ||
-      it->second.generation != generation) {
+  PeerState* found = find_peer(target);
+  if (found == nullptr || found->status != Status::kSuspected ||
+      found->generation != generation) {
     return;  // refuted or resolved while the round was in flight
   }
-  PeerState& state = it->second;
+  PeerState& state = *found;
   if (reached) {
     state.status = Status::kAlive;
     state.misses = 0;

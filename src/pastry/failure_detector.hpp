@@ -44,13 +44,14 @@
 //
 // Determinism: probe timers draw jitter from the event loop's seeded Rng
 // only; message fates come from the fault plan's seeded stream via
-// SimNetwork::plan_message; per-peer state lives in a std::map so every
-// iteration is ordered. Scheduled callbacks never capture the detector
-// itself — they re-resolve it through the overlay's registry at fire
-// time, so a stopped (crashed) node's pending events become inert no-ops.
+// SimNetwork::plan_message; per-peer state lives in a vector sorted by
+// id so every iteration is ordered. Scheduled callbacks never capture the
+// detector itself — they re-resolve it through the overlay's registry at
+// fire time, so a stopped (crashed) node's pending events become inert
+// no-ops.
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/event_loop.hpp"
@@ -169,6 +170,10 @@ class FailureDetector {
     std::uint64_t seq = 0;
   };
 
+  /// The state kept for `id`, or nullptr when there is none.
+  [[nodiscard]] PeerState* find_peer(NodeId id);
+  [[nodiscard]] const PeerState* find_peer(NodeId id) const;
+
   void schedule_tick();
   /// Send one direct probe; returns its seq. The miss check is the
   /// round's (see tick()).
@@ -196,7 +201,9 @@ class FailureDetector {
   bool running_ = false;
   /// Last virtual time any peer acked a direct probe (isolation guard).
   SimDuration last_ack_time_{};
-  std::map<NodeId, PeerState> peers_;
+  /// Per-peer state sorted by id. Only probe() inserts and only
+  /// prune_state() erases, so a PeerState& is never held across either.
+  std::vector<std::pair<NodeId, PeerState>> peers_;
   /// The current round's probes, checked by its single miss timer. Reused
   /// across rounds, so steady-state ticks do not allocate for it.
   std::vector<RoundProbe> round_;

@@ -17,7 +17,9 @@ bool closer(Key target, NodeId a, NodeId b) {
 
 }  // namespace
 
-LeafSet::LeafSet(NodeId owner, unsigned half) : owner_(owner), half_(half) {}
+LeafSet::LeafSet(NodeId owner, unsigned half) : owner_(owner), half_(half) {
+  members_.reserve(2 * static_cast<std::size_t>(half_) + 1);  // a full set plus one insert
+}
 
 bool LeafSet::insert(NodeId id) {
   if (id == owner_ || contains(id)) return false;
@@ -25,86 +27,84 @@ bool LeafSet::insert(NodeId id) {
   const Uint128 up = id - owner_;    // offset walking clockwise
   // Assign to the nearer side (ties go to the larger side).
   const bool larger_side = up <= down;
-  auto& side = larger_side ? larger_ : smaller_;
   auto offset_of = [&](NodeId n) { return larger_side ? n - owner_ : owner_ - n; };
   const Uint128 offset = larger_side ? up : down;
 
-  const auto pos = std::find_if(side.begin(), side.end(),
-                                [&](NodeId n) { return offset < offset_of(n); });
-  if (pos == side.end() && side.size() >= half_) return false;  // farther than all
-  side.insert(pos, id);
-  if (side.size() > half_) side.pop_back();
+  const auto middle = members_.begin() + static_cast<std::ptrdiff_t>(split_);
+  const auto begin = larger_side ? middle : members_.begin();
+  const auto end = larger_side ? members_.end() : middle;
+  const auto pos = std::find_if(begin, end, [&](NodeId n) { return offset < offset_of(n); });
+  const auto side_size = static_cast<std::size_t>(end - begin);
+  if (pos == end && side_size >= half_) return false;  // farther than all
+  members_.insert(pos, id);
+  if (larger_side) {
+    if (side_size + 1 > half_) members_.pop_back();
+  } else if (++split_ > half_) {
+    members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(--split_));
+  }
   return true;
 }
 
 bool LeafSet::remove(NodeId id) {
-  for (auto* side : {&smaller_, &larger_}) {
-    const auto it = std::find(side->begin(), side->end(), id);
-    if (it != side->end()) {
-      side->erase(it);
-      return true;
-    }
-  }
-  return false;
+  const auto it = std::find(members_.begin(), members_.end(), id);
+  if (it == members_.end()) return false;
+  if (static_cast<std::size_t>(it - members_.begin()) < split_) --split_;
+  members_.erase(it);
+  return true;
 }
 
 bool LeafSet::contains(NodeId id) const {
-  return std::find(smaller_.begin(), smaller_.end(), id) != smaller_.end() ||
-         std::find(larger_.begin(), larger_.end(), id) != larger_.end();
-}
-
-std::vector<NodeId> LeafSet::members() const {
-  std::vector<NodeId> out = smaller_;
-  out.insert(out.end(), larger_.begin(), larger_.end());
-  return out;
+  return std::find(members_.begin(), members_.end(), id) != members_.end();
 }
 
 std::vector<NodeId> LeafSet::closest_members(std::size_t k) const {
-  std::vector<NodeId> out = members();
+  std::vector<NodeId> out = members_;
   std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) { return closer(owner_, a, b); });
   if (out.size() > k) out.resize(k);
   return out;
 }
 
 std::vector<NodeId> LeafSet::alternating_members(std::size_t k) const {
+  const auto small = smaller();
+  const auto large = larger();
   std::vector<NodeId> out;
   std::size_t si = 0;
   std::size_t li = 0;
   // Start with the closer of the two immediate neighbors, then alternate.
   bool take_larger =
-      !larger_.empty() &&
-      (smaller_.empty() || closer(owner_, larger_.front(), smaller_.front()));
-  while (out.size() < k && (si < smaller_.size() || li < larger_.size())) {
-    if (take_larger && li < larger_.size()) {
-      out.push_back(larger_[li++]);
-    } else if (!take_larger && si < smaller_.size()) {
-      out.push_back(smaller_[si++]);
+      !large.empty() && (small.empty() || closer(owner_, large.front(), small.front()));
+  while (out.size() < k && (si < small.size() || li < large.size())) {
+    if (take_larger && li < large.size()) {
+      out.push_back(large[li++]);
+    } else if (!take_larger && si < small.size()) {
+      out.push_back(small[si++]);
     }
     take_larger = !take_larger;
     // If one side is exhausted, keep draining the other.
-    if (si >= smaller_.size()) take_larger = true;
-    if (li >= larger_.size()) take_larger = false;
+    if (si >= small.size()) take_larger = true;
+    if (li >= large.size()) take_larger = false;
   }
   return out;
 }
 
 bool LeafSet::covers(Key key) const {
   if (underfull()) return true;  // the node knows the entire (small) network
-  const NodeId leftmost = smaller_.back();
-  const NodeId rightmost = larger_.back();
+  const NodeId leftmost = members_[split_ - 1];
+  const NodeId rightmost = members_.back();
   return in_clockwise_range(key, leftmost, rightmost);
 }
 
 NodeId LeafSet::closest_to(Key key) const {
   NodeId best = owner_;
-  for (const auto* side : {&smaller_, &larger_}) {
-    for (const NodeId id : *side) {
-      if (closer(key, id, best)) best = id;
-    }
+  for (const NodeId id : members_) {
+    if (closer(key, id, best)) best = id;
   }
   return best;
 }
 
-std::vector<NodeId> LeafSet::side(bool larger) const { return larger ? larger_ : smaller_; }
+std::vector<NodeId> LeafSet::side(bool larger_side) const {
+  const auto s = larger_side ? larger() : smaller();
+  return {s.begin(), s.end()};
+}
 
 }  // namespace kosha::pastry

@@ -7,6 +7,7 @@
 // final routing step and — in Kosha — defines where the K file replicas
 // live (paper §4.2).
 
+#include <span>
 #include <vector>
 
 #include "pastry/types.hpp"
@@ -29,8 +30,10 @@ class LeafSet {
 
   [[nodiscard]] bool contains(NodeId id) const;
 
-  /// All members, smaller side then larger side, each closest-first.
-  [[nodiscard]] std::vector<NodeId> members() const;
+  /// All members, smaller side then larger side, each closest-first. The
+  /// view is invalidated by insert/remove: a caller that changes the leaf
+  /// set while walking it copies first.
+  [[nodiscard]] std::span<const NodeId> members() const { return members_; }
 
   /// Members sorted by ring distance from the owner, closest first.
   [[nodiscard]] std::vector<NodeId> closest_members(std::size_t k) const;
@@ -50,21 +53,29 @@ class LeafSet {
   /// Numerically closest node to `key` among the owner and all members.
   [[nodiscard]] NodeId closest_to(Key key) const;
 
-  /// Farthest member on the smaller/larger side, if any.
-  [[nodiscard]] std::vector<NodeId> side(bool larger) const;
+  /// The members on the smaller/larger side, closest first.
+  [[nodiscard]] std::vector<NodeId> side(bool larger_side) const;
 
-  [[nodiscard]] std::size_t size() const { return smaller_.size() + larger_.size(); }
+  [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool underfull() const {
-    return smaller_.size() < half_ || larger_.size() < half_;
+    return split_ < half_ || members_.size() - split_ < half_;
   }
 
  private:
-  // Offsets: smaller side keyed by (owner - id), larger by (id - owner);
-  // both sorted ascending (closest neighbor first).
+  [[nodiscard]] std::span<const NodeId> smaller() const {
+    return std::span<const NodeId>(members_).first(split_);
+  }
+  [[nodiscard]] std::span<const NodeId> larger() const {
+    return std::span<const NodeId>(members_).subspan(split_);
+  }
+
   NodeId owner_;
   unsigned half_;
-  std::vector<NodeId> smaller_;
-  std::vector<NodeId> larger_;
+  // One array: the smaller side sorted by (owner - id), then the larger
+  // side sorted by (id - owner), both ascending (closest neighbor first).
+  // split_ is the smaller side's length.
+  std::vector<NodeId> members_;
+  std::size_t split_ = 0;
 };
 
 }  // namespace kosha::pastry

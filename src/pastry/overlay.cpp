@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "pastry/failure_detector.hpp"
@@ -23,43 +22,66 @@ bool closer(Key target, NodeId a, NodeId b) {
 /// Rough wire size of a node-state transfer, for byte accounting only.
 constexpr std::size_t kStateBytes = 2048;
 
+/// Initial node-index capacity (a power of two).
+constexpr unsigned kIndexBits = 4;
+
 }  // namespace
 
 PastryOverlay::PastryOverlay(PastryConfig config, net::SimNetwork* network)
-    : config_(config), network_(network) {
+    : config_(config),
+      network_(network),
+      index_(std::size_t{1} << kIndexBits),
+      index_shift_(64 - kIndexBits) {
   assert(network_ != nullptr);
 }
 
+std::size_t PastryOverlay::slot_of(NodeId id) const {
+  // Ids are uniform, so a fold and one multiply spread them well enough;
+  // the fold also keeps hand-written test ids that differ in only the
+  // high or only the low half apart.
+  std::uint64_t h = id.hi ^ id.lo;
+  h ^= h >> 32;
+  const std::size_t mask = index_.size() - 1;
+  auto pos = static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  while (index_[pos].node != nullptr && index_[pos].id != id) pos = (pos + 1) & mask;
+  return pos;
+}
+
+void PastryOverlay::index_insert(Node* n) {
+  if (2 * (nodes_.size() + 1) > index_.size()) {
+    std::vector<IndexSlot> old(2 * index_.size());
+    old.swap(index_);
+    --index_shift_;
+    for (const IndexSlot& slot : old) {
+      if (slot.node != nullptr) index_[slot_of(slot.id)] = slot;
+    }
+  }
+  index_[slot_of(n->id)] = IndexSlot{n->id, n, true};
+}
+
 PastryOverlay::Node& PastryOverlay::node(NodeId id) {
-  const auto it = index_by_id_.find(id);
-  if (it == index_by_id_.end()) throw std::invalid_argument("unknown node id");
-  return *nodes_[it->second];
+  Node* n = index_[slot_of(id)].node;
+  if (n == nullptr) throw std::invalid_argument("unknown node id");
+  return *n;
 }
 
 const PastryOverlay::Node& PastryOverlay::node(NodeId id) const {
-  const auto it = index_by_id_.find(id);
-  if (it == index_by_id_.end()) throw std::invalid_argument("unknown node id");
-  return *nodes_[it->second];
+  const Node* n = index_[slot_of(id)].node;
+  if (n == nullptr) throw std::invalid_argument("unknown node id");
+  return *n;
 }
 
-bool PastryOverlay::is_live(NodeId id) const {
-  const auto it = index_by_id_.find(id);
-  return it != index_by_id_.end() && nodes_[it->second]->alive;
-}
+bool PastryOverlay::is_live(NodeId id) const { return index_[slot_of(id)].live; }
 
 net::HostId PastryOverlay::host_of(NodeId id) const { return node(id).host; }
 
 NodeId PastryOverlay::node_on_host(net::HostId host) const {
-  const auto it = index_by_host_.find(host);
-  if (it == index_by_host_.end() || !nodes_[it->second]->alive) {
-    throw std::invalid_argument("no live overlay node on host");
-  }
-  return nodes_[it->second]->id;
+  if (!host_has_node(host)) throw std::invalid_argument("no live overlay node on host");
+  return node_by_host_[host]->id;
 }
 
 bool PastryOverlay::host_has_node(net::HostId host) const {
-  const auto it = index_by_host_.find(host);
-  return it != index_by_host_.end() && nodes_[it->second]->alive;
+  return host < node_by_host_.size() && node_by_host_[host] != nullptr;
 }
 
 const LeafSet& PastryOverlay::leaf_set(NodeId id) const { return node(id).leaves; }
@@ -75,13 +97,12 @@ void PastryOverlay::set_detector(NodeId id, FailureDetector* detector) {
 }
 
 FailureDetector* PastryOverlay::detector(NodeId id) const {
-  const auto it = index_by_id_.find(id);
-  if (it == index_by_id_.end() || !nodes_[it->second]->alive) return nullptr;
-  return nodes_[it->second]->detector;
+  const IndexSlot& slot = index_[slot_of(id)];
+  return slot.live ? slot.node->detector : nullptr;
 }
 
 void PastryOverlay::notify_leaf_change(Node& n) {
-  if (n.alive && n.on_leaf_change) n.on_leaf_change();
+  if (n.on_leaf_change && is_live(n.id)) n.on_leaf_change();
 }
 
 // One conceptual routing step of the Pastry algorithm (R&D'01 fig. 3):
@@ -94,7 +115,7 @@ std::optional<NodeId> PastryOverlay::compute_next_hop(const Node& cur, Key key,
   if (cur.leaves.covers(key)) {
     NodeId best = cur.id;
     for (const NodeId m : cur.leaves.members()) {
-      if (is_live(m) && closer(key, m, best)) best = m;
+      if (closer(key, m, best) && is_live(m)) best = m;
     }
     if (best == cur.id) return std::nullopt;
     return best;
@@ -109,7 +130,7 @@ std::optional<NodeId> PastryOverlay::compute_next_hop(const Node& cur, Key key,
   // to the key than the current node.
   std::optional<NodeId> best;
   auto consider = [&](NodeId cand) {
-    if (!is_live(cand) || !closer(key, cand, cur.id)) return;
+    if (!closer(key, cand, cur.id) || !is_live(cand)) return;
     if (!best || closer(key, cand, *best)) best = cand;
   };
   for (const NodeId m : cur.leaves.members()) consider(m);
@@ -157,14 +178,16 @@ std::vector<NodeId> PastryOverlay::replica_targets(NodeId id, std::size_t k) con
 }
 
 void PastryOverlay::join(NodeId id, net::HostId host) {
-  if (index_by_id_.count(id) != 0) throw std::invalid_argument("duplicate node id");
+  if (index_[slot_of(id)].node != nullptr) throw std::invalid_argument("duplicate node id");
   if (host_has_node(host)) throw std::invalid_argument("host already runs a live node");
+  if (host >= network_->host_count()) throw std::invalid_argument("unknown host");
 
-  nodes_.push_back(std::make_unique<Node>(id, host, config_));
-  const std::size_t index = nodes_.size() - 1;
-  index_by_id_[id] = index;
-  index_by_host_[host] = index;
-  Node& x = *nodes_[index];
+  auto owned = std::make_unique<Node>(id, host, config_);
+  Node& x = *owned;
+  index_insert(&x);
+  nodes_.push_back(std::move(owned));
+  if (host >= node_by_host_.size()) node_by_host_.resize(network_->host_count(), nullptr);
+  node_by_host_[host] = &x;
 
   if (ring_.empty()) {
     ring_.insert(id, host);
@@ -205,10 +228,12 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   ring_.insert(id, host);
 
   // Announce the new node to everyone it learned about; they fold it into
-  // their own state.
-  std::set<NodeId> targets;
-  for (const NodeId t : x.table.entries()) targets.insert(t);
-  for (const NodeId t : x.leaves.members()) targets.insert(t);
+  // their own state. Ascending id order, each peer once.
+  const auto leaves = x.leaves.members();
+  std::vector<NodeId> targets = x.table.entries();
+  targets.insert(targets.end(), leaves.begin(), leaves.end());
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   for (const NodeId t : targets) {
     if (!is_live(t)) continue;
     Node& peer = node(t);
@@ -231,7 +256,8 @@ void PastryOverlay::repair_leaf_set(Node& n) {
     return n.detector != nullptr && n.detector->has_declared_dead(cand);
   };
   auto acceptable = [&](NodeId cand) { return is_live(cand) && !declared(cand); };
-  const std::vector<NodeId> snapshot = n.leaves.members();
+  const auto members = n.leaves.members();
+  const std::vector<NodeId> snapshot{members.begin(), members.end()};
   for (const NodeId m : snapshot) {
     // Eviction is verdict-driven, never ground-truth-driven: a member this
     // node has not declared dead stays in the leaf set even when it is in
@@ -256,16 +282,16 @@ void PastryOverlay::repair_leaf_set(Node& n) {
 }
 
 void PastryOverlay::mark_dead(NodeId id) {
-  Node& f = node(id);
-  if (!f.alive) return;
-  f.alive = false;
+  IndexSlot& slot = index_[slot_of(id)];
+  if (slot.node == nullptr) throw std::invalid_argument("unknown node id");
+  if (!slot.live) return;
+  slot.live = false;
+  Node& f = *slot.node;
   f.on_leaf_change = nullptr;
   f.detector = nullptr;  // pending probe events resolve to null and no-op
   ring_.remove(id);
-  if (const auto it = index_by_host_.find(f.host);
-      it != index_by_host_.end() && nodes_[it->second]->id == id) {
-    index_by_host_.erase(it);
-  }
+  // A host runs at most one live node, so this host's entry is f.
+  node_by_host_[f.host] = nullptr;
 }
 
 void PastryOverlay::fail(NodeId id) {
@@ -274,7 +300,7 @@ void PastryOverlay::fail(NodeId id) {
 
   for (const auto& up : nodes_) {
     Node& n = *up;
-    if (!n.alive) continue;
+    if (!is_live(n.id)) continue;
     if (n.leaves.remove(id)) {
       network_->charge_timeout();  // the failure is detected by a peer
       repair_leaf_set(n);
@@ -286,7 +312,7 @@ void PastryOverlay::fail(NodeId id) {
 
 void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
   Node& n = node(observer);
-  if (!n.alive) return;
+  if (!is_live(observer)) return;
   const bool was_member = n.leaves.remove(dead);
   n.table.remove(dead);
   if (!was_member) return;
@@ -297,7 +323,7 @@ void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
 
 void PastryOverlay::reintroduce(NodeId observer, NodeId peer) {
   Node& n = node(observer);
-  if (!n.alive || !is_live(peer)) return;
+  if (!is_live(observer) || !is_live(peer)) return;
   // Exchange state with the returning peer (it may have drifted while we
   // shunned it), then fold it back in.
   network_->charge_rtt(n.host, node(peer).host, kStateBytes / 4);

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/sim_network.hpp"
@@ -113,7 +112,6 @@ class PastryOverlay {
   struct Node {
     NodeId id;
     net::HostId host;
-    bool alive = true;
     RoutingTable table;
     LeafSet leaves;
     NeighborCallback on_leaf_change;
@@ -125,6 +123,20 @@ class PastryOverlay {
         : id(node_id), host(h), table(node_id, cfg), leaves(node_id, cfg.leaf_half()) {}
   };
 
+  /// One slot of the node index: an insert-only open-addressing table
+  /// (power-of-two capacity, linear probing, at most half full) from id to
+  /// node. Liveness lives here and nowhere else, so is_live(), node() and
+  /// detector() are each one probe. Insert-only suffices because nodes_
+  /// never shrinks: a dead node keeps its slot with live == false.
+  struct IndexSlot {
+    NodeId id;
+    Node* node = nullptr;  // nullptr marks an empty slot
+    bool live = false;
+  };
+
+  /// Position of `id` in index_, or of the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(NodeId id) const;
+  void index_insert(Node* n);
   [[nodiscard]] Node& node(NodeId id);
   [[nodiscard]] const Node& node(NodeId id) const;
   /// One routing step from `cur` toward `key`; nullopt when `cur` is the
@@ -138,8 +150,12 @@ class PastryOverlay {
   PastryConfig config_;
   net::SimNetwork* network_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unordered_map<Uint128, std::size_t> index_by_id_;
-  std::unordered_map<net::HostId, std::size_t> index_by_host_;
+  std::vector<IndexSlot> index_;
+  /// 64 - log2(index_.size()): the hash keeps the top bits.
+  unsigned index_shift_;
+  /// The live node on each host, indexed by HostId (SimNetwork hands out
+  /// dense ids); nullptr when the host runs none.
+  std::vector<Node*> node_by_host_;
   Ring ring_;
   FailureListener failure_listener_;
 };

@@ -13,12 +13,16 @@
 #include <string>
 #include <vector>
 
+#include "common/event_loop.hpp"
+#include "common/rng.hpp"
 #include "fs/local_fs.hpp"
 #include "kosha/audit.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "net/fault_plan.hpp"
 #include "nfs/nfs_server.hpp"
+#include "pastry/failure_detector.hpp"
+#include "pastry/overlay.hpp"
 
 namespace kosha {
 namespace {
@@ -246,6 +250,61 @@ TEST(FailureDetector, SeededSoakMatchesGoldenTotals) {
   EXPECT_EQ(stats.declared_dead, 15u);
   EXPECT_EQ(stats.reinstated, 7u);
   EXPECT_EQ(stats.quarantined_verdicts, 7u);
+}
+
+/// A death verdict about a peer that is still live outlives the peer's
+/// leaf-set membership (it is what keeps repair from re-inserting the
+/// peer), tick after tick of pruning; once the peer is really gone the
+/// next prune forgets it. Only the observer runs a detector, so the
+/// browned-out peer never probes back and is never reinstated.
+TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
+  SimClock clock;
+  EventLoop loop(&clock, 79);
+  net::SimNetwork network({}, &clock);
+  network.set_event_loop(&loop);
+  pastry::PastryOverlay overlay({}, &network);
+  Rng rng(80);
+  std::vector<pastry::NodeId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(rng.next_id());
+    overlay.join(ids.back(), network.add_host());
+  }
+  const pastry::NodeId observer = ids[0];
+  const pastry::NodeId suspect = ids[1];
+  ASSERT_TRUE(overlay.leaf_set(observer).contains(suspect));
+  pastry::FailureDetector detector({}, &overlay, &network, &loop, observer,
+                                   overlay.host_of(observer), 1);
+  detector.start();
+
+  const SimDuration t0 = clock.now();
+  auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{81, 0.0, 0.0, {}});
+  plan->add_brownout(overlay.host_of(suspect), t0, t0 + SimDuration::seconds(3));
+  network.set_fault_plan(std::move(plan));
+
+  loop.run_until_time(t0 + SimDuration::seconds(2));
+  ASSERT_TRUE(detector.has_declared_dead(suspect));
+  ASSERT_EQ(detector.stats().declared_dead, 1u);
+  ASSERT_FALSE(overlay.leaf_set(observer).contains(suspect));
+  ASSERT_TRUE(overlay.is_live(suspect));
+
+  // Dozens of ticks later, the brownout long over: the verdict stands and
+  // repair has not re-inserted the peer.
+  loop.run_until_time(t0 + SimDuration::seconds(6));
+  EXPECT_TRUE(detector.has_declared_dead(suspect));
+  EXPECT_FALSE(overlay.leaf_set(observer).contains(suspect));
+  EXPECT_EQ(detector.stats().reinstated, 0u);
+  EXPECT_EQ(detector.stats().declared_dead, 1u);
+  for (const pastry::NodeId id : ids) {
+    if (id == observer || id == suspect) continue;
+    EXPECT_FALSE(detector.has_declared_dead(id));
+  }
+
+  // The peer really dies: the next prune drops its state.
+  overlay.mark_dead(suspect);
+  loop.run_until_time(t0 + SimDuration::seconds(7));
+  EXPECT_FALSE(detector.has_declared_dead(suspect));
+  EXPECT_FALSE(detector.is_suspected(suspect));
+  detector.stop();
 }
 
 TEST(FailureDetector, RejectsProbeTimeoutNotBelowPeriod) {

@@ -141,7 +141,7 @@ TEST_P(LeafSetProperty, ClosestToMatchesBruteForce) {
     if (ls.insert(id)) members.push_back(id);
   }
   // Re-collect the actual membership (eviction may have dropped some).
-  members = ls.members();
+  members.assign(ls.members().begin(), ls.members().end());
   members.push_back(owner);
   for (int trial = 0; trial < 100; ++trial) {
     const Key key = rng.next_id();
@@ -152,6 +152,150 @@ TEST_P(LeafSetProperty, ClosestToMatchesBruteForce) {
           return da != db ? da < db : a < b;
         });
     EXPECT_EQ(ls.closest_to(key), expected);
+  }
+}
+
+// Reference leaf set: one vector per side, each closest-first, with the
+// queries written out directly. LeafSet keeps both sides in one array; it
+// must answer every query exactly as this does.
+class ReferenceLeafSet {
+ public:
+  ReferenceLeafSet(NodeId owner, unsigned half) : owner_(owner), half_(half) {}
+
+  bool insert(NodeId id) {
+    if (id == owner_ || contains(id)) return false;
+    const Uint128 down = owner_ - id;
+    const Uint128 up = id - owner_;
+    const bool larger_side = up <= down;
+    auto& side = larger_side ? larger_ : smaller_;
+    auto offset_of = [&](NodeId n) { return larger_side ? n - owner_ : owner_ - n; };
+    const Uint128 offset = larger_side ? up : down;
+    const auto pos = std::find_if(side.begin(), side.end(),
+                                  [&](NodeId n) { return offset < offset_of(n); });
+    if (pos == side.end() && side.size() >= half_) return false;
+    side.insert(pos, id);
+    if (side.size() > half_) side.pop_back();
+    return true;
+  }
+
+  bool remove(NodeId id) {
+    for (auto* side : {&smaller_, &larger_}) {
+      const auto it = std::find(side->begin(), side->end(), id);
+      if (it != side->end()) {
+        side->erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool contains(NodeId id) const {
+    return std::find(smaller_.begin(), smaller_.end(), id) != smaller_.end() ||
+           std::find(larger_.begin(), larger_.end(), id) != larger_.end();
+  }
+
+  [[nodiscard]] std::vector<NodeId> members() const {
+    std::vector<NodeId> out = smaller_;
+    out.insert(out.end(), larger_.begin(), larger_.end());
+    return out;
+  }
+
+  [[nodiscard]] std::vector<NodeId> side(bool larger) const { return larger ? larger_ : smaller_; }
+
+  [[nodiscard]] bool covers(Key key) const {
+    if (smaller_.size() < half_ || larger_.size() < half_) return true;
+    return in_clockwise_range(key, smaller_.back(), larger_.back());
+  }
+
+  [[nodiscard]] NodeId closest_to(Key key) const {
+    NodeId best = owner_;
+    for (const NodeId id : members()) {
+      if (closer(key, id, best)) best = id;
+    }
+    return best;
+  }
+
+  [[nodiscard]] std::vector<NodeId> closest_members(std::size_t k) const {
+    std::vector<NodeId> out = members();
+    std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) { return closer(owner_, a, b); });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+
+  [[nodiscard]] std::vector<NodeId> alternating_members(std::size_t k) const {
+    std::vector<NodeId> out;
+    std::size_t si = 0;
+    std::size_t li = 0;
+    bool take_larger = !larger_.empty() &&
+                       (smaller_.empty() || closer(owner_, larger_.front(), smaller_.front()));
+    while (out.size() < k && (si < smaller_.size() || li < larger_.size())) {
+      if (take_larger && li < larger_.size()) {
+        out.push_back(larger_[li++]);
+      } else if (!take_larger && si < smaller_.size()) {
+        out.push_back(smaller_[si++]);
+      }
+      take_larger = !take_larger;
+      if (si >= smaller_.size()) take_larger = true;
+      if (li >= larger_.size()) take_larger = false;
+    }
+    return out;
+  }
+
+ private:
+  static bool closer(Key target, NodeId a, NodeId b) {
+    const Uint128 da = ring_distance(a, target);
+    const Uint128 db = ring_distance(b, target);
+    return da != db ? da < db : a < b;
+  }
+
+  NodeId owner_;
+  unsigned half_;
+  std::vector<NodeId> smaller_;
+  std::vector<NodeId> larger_;
+};
+
+TEST_P(LeafSetProperty, MatchesTwoVectorReferenceUnderInsertAndRemove) {
+  Rng rng(GetParam());
+  const NodeId owner = rng.next_id();
+  for (const unsigned half : {1u, 2u, 4u, 8u}) {
+    LeafSet ls(owner, half);
+    ReferenceLeafSet ref(owner, half);
+    // A pool small enough that removes often hit members, plus ids right
+    // around the antipode (where side assignment ties) and next to the owner.
+    std::vector<NodeId> pool;
+    pool.reserve(53);
+    for (int i = 0; i < 40; ++i) pool.push_back(rng.next_id());
+    const NodeId antipode = owner + Uint128{std::uint64_t{1} << 63, 0};
+    for (std::uint64_t d = 0; d < 3; ++d) {
+      pool.push_back(antipode + Uint128{0, d});
+      pool.push_back(antipode - Uint128{0, d + 1});
+      pool.push_back(owner + Uint128{0, d + 1});
+      pool.push_back(owner - Uint128{0, d + 1});
+    }
+    pool.push_back(owner);
+    for (int step = 0; step < 600; ++step) {
+      const NodeId id = pool[rng.next_below(pool.size())];
+      if (rng.next_below(3) == 0) {
+        ASSERT_EQ(ls.remove(id), ref.remove(id)) << "step " << step;
+      } else {
+        ASSERT_EQ(ls.insert(id), ref.insert(id)) << "step " << step;
+      }
+      const std::vector<NodeId> members(ls.members().begin(), ls.members().end());
+      ASSERT_EQ(members, ref.members()) << "step " << step;
+      ASSERT_EQ(ls.size(), members.size());
+      ASSERT_EQ(ls.side(false), ref.side(false));
+      ASSERT_EQ(ls.side(true), ref.side(true));
+      for (const NodeId m : pool) ASSERT_EQ(ls.contains(m), ref.contains(m));
+      for (std::size_t k = 0; k <= 2 * half + 1; ++k) {
+        ASSERT_EQ(ls.closest_members(k), ref.closest_members(k)) << "k " << k;
+        ASSERT_EQ(ls.alternating_members(k), ref.alternating_members(k)) << "k " << k;
+      }
+      for (int trial = 0; trial < 4; ++trial) {
+        const Key key = trial == 0 ? pool[rng.next_below(pool.size())] : rng.next_id();
+        ASSERT_EQ(ls.covers(key), ref.covers(key)) << "step " << step;
+        ASSERT_EQ(ls.closest_to(key), ref.closest_to(key)) << "step " << step;
+      }
+    }
   }
 }
 

@@ -5,8 +5,10 @@
 
 #include <set>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "net/sim_network.hpp"
+#include "pastry/failure_detector.hpp"
 #include "pastry/overlay.hpp"
 
 namespace kosha::pastry {
@@ -220,6 +222,87 @@ TEST(Overlay, FailedHostLosesItsNode) {
   EXPECT_FALSE(fx.overlay.is_live(ids[1]));
   // Failing twice is harmless.
   fx.overlay.fail(ids[1]);
+}
+
+// The node index behind is_live/node/detector: every id stays findable,
+// and unknown ids stay unknown, as the table grows from 1 to 10k ids.
+TEST(Overlay, NodeIndexHoldsAcrossGrowth) {
+  Fixture fx(45);
+  EventLoop loop(&fx.clock, 46);
+  fx.network.set_event_loop(&loop);
+  // Hand-written ids that differ only in the high half or only in the
+  // low half, then uniform ones.
+  std::vector<NodeId> ids;
+  ids.reserve(10'000);
+  for (std::uint64_t i = 1; i <= 64; ++i) ids.push_back({i << 56, 0});
+  for (std::uint64_t i = 1; i <= 64; ++i) ids.push_back({0, i});
+  while (ids.size() < 10'000) ids.push_back(fx.rng.next_id());
+  Rng other(47);
+  std::vector<NodeId> unknown;
+  unknown.reserve(66);
+  for (int i = 0; i < 64; ++i) unknown.push_back(other.next_id());
+  unknown.push_back({65ull << 56, 0});
+  unknown.push_back({0, 65});
+
+  // A detector registered on the first node must resolve through every
+  // growth of the table.
+  FailureDetector detector({}, &fx.overlay, &fx.network, &loop, ids[0], 0, 1);
+  std::size_t next_check = 1;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    fx.overlay.join(ids[i], fx.network.add_host());
+    if (i == 0) fx.overlay.set_detector(ids[0], &detector);
+    if (i + 1 != next_check && i + 1 != ids.size()) continue;
+    next_check = 2 * next_check + 1;
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_TRUE(fx.overlay.is_live(ids[j])) << "after " << i + 1 << " joins";
+      ASSERT_EQ(fx.overlay.host_of(ids[j]), static_cast<net::HostId>(j));
+      ASSERT_EQ(fx.overlay.node_on_host(static_cast<net::HostId>(j)), ids[j]);
+      ASSERT_EQ(fx.overlay.detector(ids[j]), j == 0 ? &detector : nullptr);
+    }
+    for (const NodeId id : unknown) {
+      ASSERT_FALSE(fx.overlay.is_live(id));
+      ASSERT_EQ(fx.overlay.detector(id), nullptr);
+      ASSERT_THROW((void)fx.overlay.host_of(id), std::invalid_argument);
+      ASSERT_THROW((void)fx.overlay.leaf_set(id), std::invalid_argument);
+    }
+  }
+  EXPECT_EQ(fx.overlay.live_count(), ids.size());
+  // Duplicates are still rejected, whichever end of the table they hit.
+  EXPECT_THROW(fx.overlay.join(ids[0], fx.network.add_host()), std::invalid_argument);
+  EXPECT_THROW(fx.overlay.join(ids[70], fx.network.add_host()), std::invalid_argument);
+  EXPECT_THROW(fx.overlay.join(ids.back(), fx.network.add_host()), std::invalid_argument);
+  fx.overlay.set_detector(ids[0], nullptr);
+}
+
+TEST(Overlay, MarkDeadClearsLivenessDetectorAndHost) {
+  Fixture fx(48);
+  EventLoop loop(&fx.clock, 49);
+  fx.network.set_event_loop(&loop);
+  const auto ids = fx.join(5);
+  FailureDetector detector({}, &fx.overlay, &fx.network, &loop, ids[2], 2, 1);
+  fx.overlay.set_detector(ids[2], &detector);
+  ASSERT_EQ(fx.overlay.detector(ids[2]), &detector);
+
+  fx.overlay.mark_dead(ids[2]);
+  EXPECT_FALSE(fx.overlay.is_live(ids[2]));
+  EXPECT_EQ(fx.overlay.detector(ids[2]), nullptr);
+  // A dead node resolves to no detector even if one is registered late.
+  fx.overlay.set_detector(ids[2], &detector);
+  EXPECT_EQ(fx.overlay.detector(ids[2]), nullptr);
+  EXPECT_FALSE(fx.overlay.host_has_node(2));
+  EXPECT_THROW((void)fx.overlay.node_on_host(2), std::invalid_argument);
+  // The node stays known: its host is still on record, and its id can
+  // never join again.
+  EXPECT_EQ(fx.overlay.host_of(ids[2]), 2u);
+  EXPECT_THROW(fx.overlay.join(ids[2], fx.network.add_host()), std::invalid_argument);
+  // Its host may run a fresh node.
+  const NodeId fresh = fx.rng.next_id();
+  fx.overlay.join(fresh, 2);
+  EXPECT_EQ(fx.overlay.node_on_host(2), fresh);
+  EXPECT_FALSE(fx.overlay.is_live(ids[2]));
+  for (const std::size_t i : {0u, 1u, 3u, 4u}) EXPECT_TRUE(fx.overlay.is_live(ids[i]));
+  // Unknown ids still throw.
+  EXPECT_THROW(fx.overlay.mark_dead(fx.rng.next_id()), std::invalid_argument);
 }
 
 TEST(Overlay, RouteChargesNetworkTime) {
