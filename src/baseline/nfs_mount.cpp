@@ -79,7 +79,7 @@ nfs::NfsResult<Unit> NfsMount::write_file(std::string_view path, std::string_vie
     return file.error();
   }
   handle_cache_[normalized] = handle;
-  const auto written = client_.write(handle, 0, content);
+  const auto written = client_.write(handle, 0, fs::Bytes(content));
   if (!written.ok()) return written.error();
   return Unit{};
 }
@@ -92,7 +92,7 @@ nfs::NfsResult<std::string> NfsMount::read_file(std::string_view path) {
   for (;;) {
     const auto chunk = client_.read(*handle, out.size(), kChunk);
     if (!chunk.ok()) return chunk.error();
-    out += chunk->data;
+    out += chunk->data.view();
     if (chunk->eof || chunk->data.empty()) break;
   }
   return out;

@@ -2,21 +2,6 @@
 
 namespace kosha {
 
-namespace {
-
-/// The component of `path` that starts at or after `*pos` (separators
-/// skipped), advancing `*pos` past it; empty once none remain.
-std::string_view next_component(std::string_view path, std::size_t* pos) {
-  std::size_t i = *pos;
-  while (i < path.size() && path[i] == '/') ++i;
-  std::size_t j = i;
-  while (j < path.size() && path[j] != '/') ++j;
-  *pos = j;
-  return path.substr(i, j - i);
-}
-
-}  // namespace
-
 std::vector<std::string> split_path(std::string_view path) {
   std::vector<std::string> parts;
   std::size_t pos = 0;

@@ -12,6 +12,21 @@
 
 namespace kosha {
 
+/// The component of `path` that starts at or after `*pos` (separators
+/// skipped), advancing `*pos` past it; empty once none remain. Walking a
+/// path with it allocates nothing:
+///
+///   std::size_t pos = 0;
+///   for (auto c = next_component(path, &pos); !c.empty(); c = next_component(path, &pos))
+inline std::string_view next_component(std::string_view path, std::size_t* pos) {
+  std::size_t i = *pos;
+  while (i < path.size() && path[i] == '/') ++i;
+  std::size_t j = i;
+  while (j < path.size() && path[j] != '/') ++j;
+  *pos = j;
+  return path.substr(i, j - i);
+}
+
 /// Split an absolute path into components ("/a/b/c" -> {"a","b","c"}).
 /// Repeated separators are collapsed; "/" yields an empty vector.
 [[nodiscard]] std::vector<std::string> split_path(std::string_view path);

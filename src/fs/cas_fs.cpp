@@ -98,7 +98,7 @@ FsResult<Unit> CasFs::truncate(InodeId inode, std::uint64_t size) {
 }
 
 FsResult<std::uint32_t> CasFs::write(InodeId inode, std::uint64_t offset,
-                                     std::string_view data) {
+                                     const Bytes& data) {
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
@@ -108,20 +108,20 @@ FsResult<std::uint32_t> CasFs::write(InodeId inode, std::uint64_t offset,
   const auto it = manifests_.find(inode);
   std::string content = it == manifests_.end() ? std::string{} : materialize(it->second);
   if (end > content.size()) content.resize(end, '\0');
-  std::copy(data.begin(), data.end(), content.begin() + static_cast<std::ptrdiff_t>(offset));
+  std::copy(data.view().begin(), data.view().end(),
+            content.begin() + static_cast<std::ptrdiff_t>(offset));
   set_content(inode, content);
   get(inode)->mtime = next_mtime();
   return static_cast<std::uint32_t>(data.size());
 }
 
-FsResult<std::string> CasFs::read(InodeId inode, std::uint64_t offset,
-                                  std::uint32_t count) const {
+FsResult<Bytes> CasFs::read(InodeId inode, std::uint64_t offset, std::uint32_t count) const {
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
   const auto it = manifests_.find(inode);
   const std::uint64_t size = it == manifests_.end() ? 0 : it->second.size;
-  if (offset >= size) return std::string{};
+  if (offset >= size) return Bytes{};
   const std::uint64_t end = std::min<std::uint64_t>(size, offset + count);
   std::string out;
   out.reserve(end - offset);
@@ -139,7 +139,7 @@ FsResult<std::string> CasFs::read(InodeId inode, std::uint64_t offset,
         std::min<std::uint64_t>(block->second.bytes.size(), end - chunk_start);
     if (to > from) out.append(block->second.bytes, from, to - from);
   }
-  return out;
+  return Bytes(std::move(out));
 }
 
 void CasFs::purge() {

@@ -41,9 +41,9 @@ class CasFs : public LocalFs {
 
   [[nodiscard]] FsResult<Unit> truncate(InodeId inode, std::uint64_t size) override;
   [[nodiscard]] FsResult<std::uint32_t> write(InodeId inode, std::uint64_t offset,
-                                              std::string_view data) override;
-  [[nodiscard]] FsResult<std::string> read(InodeId inode, std::uint64_t offset,
-                                           std::uint32_t count) const override;
+                                              const Bytes& data) override;
+  [[nodiscard]] FsResult<Bytes> read(InodeId inode, std::uint64_t offset,
+                                     std::uint32_t count) const override;
 
   void purge() override;
 
@@ -58,7 +58,7 @@ class CasFs : public LocalFs {
   /// recursive removal): drop its manifest before the base frees it.
   void release(InodeId id) override;
   /// Files answer getattr/subtree_bytes from the manifest, not the
-  /// (always empty) inline data.
+  /// (always empty) inode data.
   [[nodiscard]] std::uint64_t file_content_bytes(InodeId id) const override;
 
  private:

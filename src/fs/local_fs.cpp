@@ -1,7 +1,5 @@
 #include "fs/local_fs.hpp"
 
-#include <algorithm>
-
 #include "common/path.hpp"
 
 namespace kosha::fs {
@@ -75,7 +73,7 @@ FsResult<InodeId> LocalFs::lookup(InodeId dir, std::string_view name) const {
   const Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(std::string(name));
+  const auto it = d->entries.find(name);
   if (it == d->entries.end()) return FsStatus::kNoEnt;
   return it->second;
 }
@@ -86,10 +84,10 @@ FsResult<InodeId> LocalFs::create(InodeId dir, std::string_view name, std::uint3
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.count(std::string(name)) != 0) return FsStatus::kExist;
+  if (d->entries.contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kFile, mode, uid, gid);
   d = get(dir);  // allocate() may have reallocated the inode table
-  d->entries.emplace(std::string(name), id);
+  d->entries.emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -100,10 +98,10 @@ FsResult<InodeId> LocalFs::mkdir(InodeId dir, std::string_view name, std::uint32
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.count(std::string(name)) != 0) return FsStatus::kExist;
+  if (d->entries.contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kDirectory, mode, uid, gid);
   d = get(dir);  // allocate() may have reallocated the inode table
-  d->entries.emplace(std::string(name), id);
+  d->entries.emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -114,11 +112,11 @@ FsResult<InodeId> LocalFs::symlink(InodeId dir, std::string_view name,
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.count(std::string(name)) != 0) return FsStatus::kExist;
+  if (d->entries.contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kSymlink, 0777, 0, 0);
   d = get(dir);  // allocate() may have reallocated the inode table
-  inodes_[id - 1].data = std::string(target);
-  d->entries.emplace(std::string(name), id);
+  inodes_[id - 1].data = Bytes(target);
+  d->entries.emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -127,7 +125,7 @@ FsResult<Unit> LocalFs::remove(InodeId dir, std::string_view name) {
   Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(std::string(name));
+  const auto it = d->entries.find(name);
   if (it == d->entries.end()) return FsStatus::kNoEnt;
   const Inode* target = get(it->second);
   if (target != nullptr && target->type == FileType::kDirectory) return FsStatus::kIsDir;
@@ -141,7 +139,7 @@ FsResult<Unit> LocalFs::rmdir(InodeId dir, std::string_view name) {
   Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(std::string(name));
+  const auto it = d->entries.find(name);
   if (it == d->entries.end()) return FsStatus::kNoEnt;
   const Inode* target = get(it->second);
   if (target == nullptr || target->type != FileType::kDirectory) return FsStatus::kNotDir;
@@ -161,11 +159,11 @@ FsResult<Unit> LocalFs::rename(InodeId from_dir, std::string_view from_name, Ino
     return FsStatus::kNotDir;
   }
   if (!valid_name(to_name)) return FsStatus::kInval;
-  const auto it = fd->entries.find(std::string(from_name));
+  const auto it = fd->entries.find(from_name);
   if (it == fd->entries.end()) return FsStatus::kNoEnt;
   const InodeId moving = it->second;
 
-  const auto dst = td->entries.find(std::string(to_name));
+  const auto dst = td->entries.find(to_name);
   if (dst != td->entries.end()) {
     if (dst->second == moving) return Unit{};  // no-op rename onto itself
     // POSIX semantics: replace a non-directory target; refuse directories
@@ -178,7 +176,7 @@ FsResult<Unit> LocalFs::rename(InodeId from_dir, std::string_view from_name, Ino
     td->entries.erase(dst);
   }
   fd->entries.erase(it);
-  td->entries.emplace(std::string(to_name), moving);
+  td->entries.emplace(to_name, moving);
   fd->mtime = ++mtime_counter_;
   td->mtime = ++mtime_counter_;
   return Unit{};
@@ -230,17 +228,16 @@ FsResult<Unit> LocalFs::truncate(InodeId inode, std::uint64_t size) {
     const std::uint64_t extra = size - n->data.size();
     if (would_exceed(extra)) return FsStatus::kNoSpace;
     used_bytes_ += extra;
-    n->data.resize(size, '\0');
   } else {
     used_bytes_ -= n->data.size() - size;
-    n->data.resize(size);
   }
+  shared_copy_bytes_ += n->data.resize(size);
   n->mtime = ++mtime_counter_;
   return Unit{};
 }
 
 FsResult<std::uint32_t> LocalFs::write(InodeId inode, std::uint64_t offset,
-                                       std::string_view data) {
+                                       const Bytes& data) {
   Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
@@ -249,33 +246,31 @@ FsResult<std::uint32_t> LocalFs::write(InodeId inode, std::uint64_t offset,
     const std::uint64_t extra = end - n->data.size();
     if (would_exceed(extra)) return FsStatus::kNoSpace;
     used_bytes_ += extra;
-    n->data.resize(end, '\0');
   }
-  std::copy(data.begin(), data.end(), n->data.begin() + static_cast<std::ptrdiff_t>(offset));
+  shared_copy_bytes_ += n->data.write(offset, data);
   n->mtime = ++mtime_counter_;
   return static_cast<std::uint32_t>(data.size());
 }
 
-FsResult<std::string> LocalFs::read(InodeId inode, std::uint64_t offset,
-                                    std::uint32_t count) const {
+FsResult<Bytes> LocalFs::read(InodeId inode, std::uint64_t offset, std::uint32_t count) const {
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
-  if (offset >= n->data.size()) return std::string{};
-  const std::uint64_t avail = n->data.size() - offset;
-  return n->data.substr(offset, std::min<std::uint64_t>(count, avail));
+  return n->data.slice(offset, count);
 }
 
 FsResult<std::string> LocalFs::readlink(InodeId inode) const {
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kSymlink) return FsStatus::kInval;
-  return n->data;
+  return std::string(n->data.view());
 }
 
 FsResult<InodeId> LocalFs::resolve(std::string_view path) const {
   InodeId cur = kRootInode;
-  for (const auto& part : split_path(path)) {
+  std::size_t pos = 0;
+  for (std::string_view part = next_component(path, &pos); !part.empty();
+       part = next_component(path, &pos)) {
     auto next = lookup(cur, part);
     if (!next.ok()) return next.error();
     cur = next.value();
@@ -285,7 +280,9 @@ FsResult<InodeId> LocalFs::resolve(std::string_view path) const {
 
 FsResult<InodeId> LocalFs::mkdir_p(std::string_view path) {
   InodeId cur = kRootInode;
-  for (const auto& part : split_path(path)) {
+  std::size_t pos = 0;
+  for (std::string_view part = next_component(path, &pos); !part.empty();
+       part = next_component(path, &pos)) {
     auto next = lookup(cur, part);
     if (next.ok()) {
       const Inode* n = get(next.value());
@@ -360,6 +357,7 @@ void LocalFs::purge() {
   for (std::size_t i = 0; i < inodes_.size(); ++i) generations[i] = inodes_[i].generation;
   free_list_.clear();
   used_bytes_ = 0;
+  shared_copy_bytes_ = 0;
   live_inodes_ = 0;
   for (std::size_t i = 0; i < inodes_.size(); ++i) {
     inodes_[i] = Inode{};

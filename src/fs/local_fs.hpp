@@ -5,10 +5,11 @@
 // The kFlat StorageBackend: an in-memory, inode-based hierarchical file
 // system with the operation vocabulary NFS needs (lookup/create/read/
 // write/remove/rename/readdir/symlink) plus byte-capacity accounting,
-// file content held inline in each inode. Each Kosha node dedicates one
-// store instance as its contributed storage (paper §5: "A local disk
-// partition is created and used for space contribution"); capacity and the
-// utilization threshold drive the redirection mechanism of §3.3.
+// file content held in each inode as a shared, copy-on-write buffer
+// (fs/bytes.hpp). Each Kosha node dedicates one store instance as its
+// contributed storage (paper §5: "A local disk partition is created and
+// used for space contribution"); capacity and the utilization threshold
+// drive the redirection mechanism of §3.3.
 //
 // The internals are protected rather than private: CasFs (cas_fs.hpp)
 // reuses the namespace/inode machinery wholesale and overrides only the
@@ -17,6 +18,7 @@
 // testable op-for-op.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -55,9 +57,9 @@ class LocalFs : public StorageBackend {
   [[nodiscard]] FsResult<Unit> set_mode(InodeId inode, std::uint32_t mode) override;
   [[nodiscard]] FsResult<Unit> truncate(InodeId inode, std::uint64_t size) override;
   [[nodiscard]] FsResult<std::uint32_t> write(InodeId inode, std::uint64_t offset,
-                                              std::string_view data) override;
-  [[nodiscard]] FsResult<std::string> read(InodeId inode, std::uint64_t offset,
-                                           std::uint32_t count) const override;
+                                              const Bytes& data) override;
+  [[nodiscard]] FsResult<Bytes> read(InodeId inode, std::uint64_t offset,
+                                     std::uint32_t count) const override;
   [[nodiscard]] FsResult<std::string> readlink(InodeId inode) const override;
 
   // --- path conveniences (absolute paths within this store) ---
@@ -89,6 +91,12 @@ class LocalFs : public StorageBackend {
 
   [[nodiscard]] std::size_t live_inode_count() const override { return live_inodes_; }
 
+  [[nodiscard]] StorageStats stats() const override {
+    StorageStats stats;
+    stats.shared_copy_bytes = shared_copy_bytes_;
+    return stats;
+  }
+
  protected:
   static constexpr InodeId kRootInode = 1;
 
@@ -100,8 +108,10 @@ class LocalFs : public StorageBackend {
     std::uint32_t gid = 0;
     std::uint64_t mtime = 0;
     std::uint64_t generation = 0;
-    std::string data;                        // file content / symlink target
-    std::map<std::string, InodeId> entries;  // directory children
+    Bytes data;  // file content / symlink target
+    /// Directory children; the transparent comparator looks names up as
+    /// string_views without building a string.
+    std::map<std::string, InodeId, std::less<>> entries;
   };
 
   [[nodiscard]] const Inode* get(InodeId id) const;
@@ -113,7 +123,7 @@ class LocalFs : public StorageBackend {
   /// rename-over, recursive removal all funnel through here.
   virtual void release(InodeId id);
   /// Logical byte size of a regular file's content. The flat store keeps
-  /// content inline; CasFs answers from the manifest. getattr and
+  /// content in the inode; CasFs answers from the manifest. getattr and
   /// subtree_bytes report through this hook so both agree per backend.
   [[nodiscard]] virtual std::uint64_t file_content_bytes(InodeId id) const;
   [[nodiscard]] static bool valid_name(std::string_view name);
@@ -128,6 +138,7 @@ class LocalFs : public StorageBackend {
   std::vector<Inode> inodes_;  // index = InodeId - 1
   std::vector<InodeId> free_list_;
   std::uint64_t used_bytes_ = 0;
+  std::uint64_t shared_copy_bytes_ = 0;
   std::uint64_t mtime_counter_ = 0;
   std::size_t live_inodes_ = 0;
 };

@@ -9,8 +9,9 @@
 // speaks StorageBackend; the concrete representation is chosen per cluster
 // via StorageConfig and constructed through make_backend():
 //
-//   kFlat  LocalFs      — inode table with inline file data (the original
-//                         representation; the deterministic baseline).
+//   kFlat  LocalFs      — inode table holding each file's content as a
+//                         shared copy-on-write buffer (fs/bytes.hpp); the
+//                         deterministic baseline.
 //   kCas   CasFs        — same namespace, but file content is chunked into
 //                         SHA-1-addressed blocks held in a refcounted
 //                         store with a per-file Merkle-style manifest:
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "fs/bytes.hpp"
 
 namespace kosha::fs {
 
@@ -86,7 +88,7 @@ using FsResult = Result<T, FsStatus>;
 
 /// Which concrete store representation backs a node's partition.
 enum class BackendKind : std::uint8_t {
-  kFlat,  // inode table with inline file data (LocalFs)
+  kFlat,  // inode table with per-inode content buffers (LocalFs)
   kCas,   // content-addressed chunked blocks with dedup (CasFs)
 };
 
@@ -117,7 +119,8 @@ struct BlockRef {
   std::uint32_t bytes = 0;
 };
 
-/// Dedup/integrity observability (all zero for flat stores).
+/// Dedup/integrity observability (the first three are zero for flat
+/// stores, the last is zero for CAS stores).
 struct StorageStats {
   /// Logical bytes minus physical block bytes: what dedup saved.
   std::uint64_t dedup_bytes = 0;
@@ -125,6 +128,10 @@ struct StorageStats {
   std::uint64_t blocks_live = 0;
   /// Reads that failed hash verification since construction/purge.
   std::uint64_t verify_failures = 0;
+  /// Bytes copied because a mutation hit content shared with another file,
+  /// a replica or an outstanding read (see fs/bytes.hpp); zero while every
+  /// mutation ran in place.
+  std::uint64_t shared_copy_bytes = 0;
 };
 
 /// Abstract per-node store. Capacity accounting is LOGICAL everywhere —
@@ -164,10 +171,14 @@ class StorageBackend {
   [[nodiscard]] virtual FsResult<Attr> getattr(InodeId inode) const = 0;
   [[nodiscard]] virtual FsResult<Unit> set_mode(InodeId inode, std::uint32_t mode) = 0;
   [[nodiscard]] virtual FsResult<Unit> truncate(InodeId inode, std::uint64_t size) = 0;
+  /// Store `data` at `offset`. A flat store shares `data`'s buffer when
+  /// the write replaces the file's whole content (see fs/bytes.hpp).
   [[nodiscard]] virtual FsResult<std::uint32_t> write(InodeId inode, std::uint64_t offset,
-                                                      std::string_view data) = 0;
-  [[nodiscard]] virtual FsResult<std::string> read(InodeId inode, std::uint64_t offset,
-                                                   std::uint32_t count) const = 0;
+                                                      const Bytes& data) = 0;
+  /// Up to `count` bytes from `offset`; a flat store returns a slice that
+  /// shares the file's buffer.
+  [[nodiscard]] virtual FsResult<Bytes> read(InodeId inode, std::uint64_t offset,
+                                             std::uint32_t count) const = 0;
   [[nodiscard]] virtual FsResult<std::string> readlink(InodeId inode) const = 0;
 
   // --- path conveniences (absolute paths within this store) ---

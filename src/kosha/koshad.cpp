@@ -166,7 +166,7 @@ nfs::NfsResult<nfs::ReadReply> Koshad::read(VirtualHandle file, std::uint64_t of
 }
 
 nfs::NfsResult<std::uint32_t> Koshad::write(VirtualHandle file, std::uint64_t offset,
-                                            std::string_view data) {
+                                            const fs::Bytes& data) {
   SpanScope span(tracer(), "koshad.write", host_);
   charge_interposition();
   return finish_span(span, with_handle(file, [&](const Resolved& r) {

@@ -73,8 +73,10 @@ class Koshad {
   [[nodiscard]] nfs::NfsResult<fs::Attr> truncate(VirtualHandle obj, std::uint64_t size);
   [[nodiscard]] nfs::NfsResult<nfs::ReadReply> read(VirtualHandle file, std::uint64_t offset,
                                                     std::uint32_t count);
+  /// `data` reaches the primary and every mirror by reference count
+  /// (fs/bytes.hpp).
   [[nodiscard]] nfs::NfsResult<std::uint32_t> write(VirtualHandle file, std::uint64_t offset,
-                                                    std::string_view data);
+                                                    const fs::Bytes& data);
   [[nodiscard]] nfs::NfsResult<VhReply> create(VirtualHandle dir, std::string_view name,
                                                std::uint32_t mode = 0644,
                                                std::uint32_t uid = 0,

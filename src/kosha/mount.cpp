@@ -133,7 +133,9 @@ nfs::NfsResult<Unit> KoshaMount::write_file_impl(std::string_view path,
     return truncated.error();
   }
   handle_cache_[normalize_path(path)] = file->handle;
-  const auto written = daemon_->write(file->handle, 0, content);
+  // The one copy of the content: koshad, the WRITE call, the primary and
+  // every mirror share this buffer.
+  const auto written = daemon_->write(file->handle, 0, fs::Bytes(content));
   if (!written.ok()) return written.error();
   return Unit{};
 }
@@ -151,7 +153,7 @@ nfs::NfsResult<std::string> KoshaMount::read_file_impl(std::string_view path) {
   for (;;) {
     const auto chunk = daemon_->read(*file, out.size(), kChunk);
     if (!chunk.ok()) return chunk.error();
-    out += chunk->data;
+    out += chunk->data.view();
     if (chunk->eof || chunk->data.empty()) break;
   }
   return out;

@@ -102,7 +102,7 @@ std::int64_t PosixAdapter::write(Fd fd, std::string_view data) {
     }
     file->offset = attr->size;
   }
-  const auto written = mount_->daemon().write(file->handle, file->offset, data);
+  const auto written = mount_->daemon().write(file->handle, file->offset, fs::Bytes(data));
   if (!written.ok()) {
     last_error_ = written.error();
     return -1;

@@ -18,8 +18,9 @@ std::pair<std::string, std::string> dir_and_name(const std::string& path) {
   return {path_parent(path), path_basename(path)};
 }
 
-/// Ensure a file exists at `path` with the given content (overwrite).
-void put_file(fs::StorageBackend& store, const std::string& path, const std::string& content,
+/// Ensure a file exists at `path` with the given content (overwrite). A
+/// flat store shares `content`'s buffer instead of copying it.
+void put_file(fs::StorageBackend& store, const std::string& path, const fs::Bytes& content,
               std::uint32_t mode, std::uint32_t uid, std::uint32_t gid) {
   const auto [parent, name] = dir_and_name(path);
   const auto dir = store.mkdir_p(parent);
@@ -242,10 +243,10 @@ std::size_t ReplicaManager::mirror_create(const std::string& stored_path, std::u
 }
 
 std::size_t ReplicaManager::mirror_write(const std::string& stored_path, std::uint64_t offset,
-                                         std::string_view data) {
+                                         const fs::Bytes& data) {
   return for_each_replica(stored_path, data.size(),
-                          [this, offset, data](fs::StorageBackend& store,
-                                               const std::string& path) {
+                          [this, offset, &data](fs::StorageBackend& store,
+                                                const std::string& path) {
                             const auto inode = store.resolve(path);
                             if (!inode.ok() || !store.write(*inode, offset, data).ok()) {
                               note_mirror_error();

@@ -84,7 +84,7 @@ class ReplicaManager {
   std::size_t mirror_create(const std::string& stored_path, std::uint32_t mode,
                             std::uint32_t uid, std::uint32_t gid);
   std::size_t mirror_write(const std::string& stored_path, std::uint64_t offset,
-                           std::string_view data);
+                           const fs::Bytes& data);
   std::size_t mirror_truncate(const std::string& stored_path, std::uint64_t size);
   std::size_t mirror_set_mode(const std::string& stored_path, std::uint32_t mode);
   std::size_t mirror_symlink(const std::string& stored_path, const std::string& target);

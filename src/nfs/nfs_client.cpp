@@ -22,7 +22,8 @@ bool timed(const RetryPolicy& retry) { return retry.response_timeout.ns > 0; }
 
 /// A string argument an invoke closure carries to the server: borrowed
 /// from the caller when every server chain ends before the caller returns,
-/// an owned copy in timed mode. Handles and scalars are captured by value.
+/// an owned copy in timed mode. Handles and scalars are captured by value,
+/// and a WRITE's payload is an fs::Bytes, held by reference count.
 class ArgString {
  public:
   ArgString(std::string_view text, bool own)
@@ -242,16 +243,17 @@ NfsResult<ReplyT> NfsClient::transact_impl(std::size_t proc_slot, net::HostId se
 }
 
 NfsResult<FileHandle> NfsClient::mount(net::HostId server) {
+  (void)next_xid();
   return transact<FileHandle>(
-      NfsProc::kMount, server, encode_mount_call(next_xid()).size(),
+      NfsProc::kMount, server, encoded_size_mount_call(),
       [](NfsServer& s) -> NfsResult<FileHandle> { return s.root_handle(); },
       [](const NfsResult<FileHandle>&) { return kReplyBytes; });
 }
 
 NfsResult<HandleReply> NfsClient::lookup(FileHandle dir, std::string_view name) {
+  (void)next_xid();
   return transact<HandleReply>(
-      NfsProc::kLookup, dir.server,
-      encode_diropargs_call(next_xid(), NfsProc::kLookup, dir, name).size(),
+      NfsProc::kLookup, dir.server, encoded_size_diropargs_call(name),
       [dir, name = ArgString(name, timed(retry_))](NfsServer& s) {
         return s.lookup(dir, name.view());
       },
@@ -259,9 +261,9 @@ NfsResult<HandleReply> NfsClient::lookup(FileHandle dir, std::string_view name) 
 }
 
 NfsResult<fs::Attr> NfsClient::getattr(FileHandle obj) {
+  (void)next_xid();
   return transact<fs::Attr>(
-      NfsProc::kGetattr, obj.server,
-      encode_handle_call(next_xid(), NfsProc::kGetattr, obj).size(),
+      NfsProc::kGetattr, obj.server, encoded_size_handle_call(),
       [obj](NfsServer& s) { return s.getattr(obj); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
@@ -272,7 +274,7 @@ NfsResult<fs::Attr> NfsClient::set_mode(FileHandle obj, std::uint32_t mode) {
   const std::uint32_t xid = next_xid();
   return transact<fs::Attr>(
       NfsProc::kSetattr, obj.server,
-      encode_setattr_call(xid, obj, true, mode, false, 0).size(),
+      encoded_size_setattr_call(true, false),
       [this, obj, mode, xid](NfsServer& s) { return s.set_mode(obj, mode, rpc_ctx(xid)); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
@@ -281,16 +283,16 @@ NfsResult<fs::Attr> NfsClient::truncate(FileHandle obj, std::uint64_t size) {
   const std::uint32_t xid = next_xid();
   return transact<fs::Attr>(
       NfsProc::kSetattr, obj.server,
-      encode_setattr_call(xid, obj, false, 0, true, size).size(),
+      encoded_size_setattr_call(false, true),
       [this, obj, size, xid](NfsServer& s) { return s.truncate(obj, size, rpc_ctx(xid)); },
       [](const NfsResult<fs::Attr>&) { return kReplyBytes; });
 }
 
 NfsResult<ReadReply> NfsClient::read(FileHandle file, std::uint64_t offset,
                                      std::uint32_t count) {
+  (void)next_xid();
   return transact<ReadReply>(
-      NfsProc::kRead, file.server,
-      encode_read_call(next_xid(), file, offset, count).size(),
+      NfsProc::kRead, file.server, encoded_size_read_call(),
       [file, offset, count](NfsServer& s) { return s.read(file, offset, count); },
       [](const NfsResult<ReadReply>& r) {
         return kReplyBytes + (r.ok() ? r.value().data.size() : 0);
@@ -298,15 +300,13 @@ NfsResult<ReadReply> NfsClient::read(FileHandle file, std::uint64_t offset,
 }
 
 NfsResult<std::uint32_t> NfsClient::write(FileHandle file, std::uint64_t offset,
-                                          std::string_view data) {
+                                          const fs::Bytes& data) {
   // WRITE is idempotent at a fixed offset, so no DRC context is needed:
   // re-execution stores the same bytes.
+  (void)next_xid();
   return transact<std::uint32_t>(
-      NfsProc::kWrite, file.server,
-      encode_write_call(next_xid(), file, offset, data).size(),
-      [file, offset, data = ArgString(data, timed(retry_))](NfsServer& s) {
-        return s.write(file, offset, data.view());
-      },
+      NfsProc::kWrite, file.server, encoded_size_write_call(data.size()),
+      [file, offset, data](NfsServer& s) { return s.write(file, offset, data); },
       [](const NfsResult<std::uint32_t>&) { return kReplyBytes; });
 }
 
@@ -316,7 +316,7 @@ NfsResult<HandleReply> NfsClient::create(FileHandle dir, std::string_view name,
   const std::uint32_t xid = next_xid();
   return transact<HandleReply>(
       NfsProc::kCreate, dir.server,
-      encode_create_call(xid, NfsProc::kCreate, dir, name, mode, uid).size(),
+      encoded_size_create_call(name),
       [this, dir, name = ArgString(name, timed(retry_)), mode, uid, gid, xid](NfsServer& s) {
         return s.create(dir, name.view(), mode, uid, gid, rpc_ctx(xid));
       },
@@ -329,7 +329,7 @@ NfsResult<HandleReply> NfsClient::mkdir(FileHandle dir, std::string_view name,
   const std::uint32_t xid = next_xid();
   return transact<HandleReply>(
       NfsProc::kMkdir, dir.server,
-      encode_create_call(xid, NfsProc::kMkdir, dir, name, mode, uid).size(),
+      encoded_size_create_call(name),
       [this, dir, name = ArgString(name, timed(retry_)), mode, uid, gid, xid](NfsServer& s) {
         return s.mkdir(dir, name.view(), mode, uid, gid, rpc_ctx(xid));
       },
@@ -341,7 +341,7 @@ NfsResult<HandleReply> NfsClient::symlink(FileHandle dir, std::string_view name,
   const std::uint32_t xid = next_xid();
   return transact<HandleReply>(
       NfsProc::kSymlink, dir.server,
-      encode_symlink_call(xid, dir, name, target).size(),
+      encoded_size_symlink_call(name, target),
       [this, dir, name = ArgString(name, timed(retry_)), target = ArgString(target, timed(retry_)),
        xid](NfsServer& s) {
         return s.symlink(dir, name.view(), target.view(), rpc_ctx(xid));
@@ -350,9 +350,9 @@ NfsResult<HandleReply> NfsClient::symlink(FileHandle dir, std::string_view name,
 }
 
 NfsResult<std::string> NfsClient::readlink(FileHandle link) {
+  (void)next_xid();
   return transact<std::string>(
-      NfsProc::kReadlink, link.server,
-      encode_handle_call(next_xid(), NfsProc::kReadlink, link).size(),
+      NfsProc::kReadlink, link.server, encoded_size_handle_call(),
       [link](NfsServer& s) { return s.readlink(link); },
       [](const NfsResult<std::string>& r) {
         return kReplyBytes + (r.ok() ? r.value().size() : 0);
@@ -363,7 +363,7 @@ NfsResult<Unit> NfsClient::remove(FileHandle dir, std::string_view name) {
   const std::uint32_t xid = next_xid();
   return transact<Unit>(
       NfsProc::kRemove, dir.server,
-      encode_diropargs_call(xid, NfsProc::kRemove, dir, name).size(),
+      encoded_size_diropargs_call(name),
       [this, dir, name = ArgString(name, timed(retry_)), xid](NfsServer& s) {
         return s.remove(dir, name.view(), rpc_ctx(xid));
       },
@@ -374,7 +374,7 @@ NfsResult<Unit> NfsClient::rmdir(FileHandle dir, std::string_view name) {
   const std::uint32_t xid = next_xid();
   return transact<Unit>(
       NfsProc::kRmdir, dir.server,
-      encode_diropargs_call(xid, NfsProc::kRmdir, dir, name).size(),
+      encoded_size_diropargs_call(name),
       [this, dir, name = ArgString(name, timed(retry_)), xid](NfsServer& s) {
         return s.rmdir(dir, name.view(), rpc_ctx(xid));
       },
@@ -387,7 +387,7 @@ NfsResult<Unit> NfsClient::rename(FileHandle from_dir, std::string_view from_nam
   const std::uint32_t xid = next_xid();
   return transact<Unit>(
       NfsProc::kRename, from_dir.server,
-      encode_rename_call(xid, from_dir, from_name, to_dir, to_name).size(),
+      encoded_size_rename_call(from_name, to_name),
       [this, from_dir, from_name = ArgString(from_name, timed(retry_)), to_dir,
        to_name = ArgString(to_name, timed(retry_)), xid](NfsServer& s) {
         return s.rename(from_dir, from_name.view(), to_dir, to_name.view(), rpc_ctx(xid));
@@ -396,9 +396,9 @@ NfsResult<Unit> NfsClient::rename(FileHandle from_dir, std::string_view from_nam
 }
 
 NfsResult<ReaddirReply> NfsClient::readdir(FileHandle dir) {
+  (void)next_xid();
   return transact<ReaddirReply>(
-      NfsProc::kReaddir, dir.server,
-      encode_handle_call(next_xid(), NfsProc::kReaddir, dir).size(),
+      NfsProc::kReaddir, dir.server, encoded_size_handle_call(),
       [dir](NfsServer& s) { return s.readdir(dir); },
       [](const NfsResult<ReaddirReply>& r) {
         return kReplyBytes + (r.ok() ? r.value().entries.size() * 40 : 0);
@@ -406,9 +406,9 @@ NfsResult<ReaddirReply> NfsClient::readdir(FileHandle dir) {
 }
 
 NfsResult<FsstatReply> NfsClient::fsstat(net::HostId server) {
+  (void)next_xid();
   return transact<FsstatReply>(
-      NfsProc::kFsstat, server,
-      encode_handle_call(next_xid(), NfsProc::kFsstat, FileHandle{server, 1, 1}).size(),
+      NfsProc::kFsstat, server, encoded_size_handle_call(),
       [](NfsServer& s) { return s.fsstat(); },
       [](const NfsResult<FsstatReply>&) { return kReplyBytes; });
 }

@@ -80,6 +80,8 @@ class NfsClient {
 
   [[nodiscard]] net::HostId self() const { return self_; }
   [[nodiscard]] std::uint64_t boot() const { return boot_; }
+  /// The xid the most recent RPC took (0 before the first).
+  [[nodiscard]] std::uint32_t last_xid() const { return xid_; }
   [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
   void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
 
@@ -129,8 +131,10 @@ class NfsClient {
   [[nodiscard]] NfsResult<fs::Attr> truncate(FileHandle obj, std::uint64_t size);
   [[nodiscard]] NfsResult<ReadReply> read(FileHandle file, std::uint64_t offset,
                                           std::uint32_t count);
+  /// The invoke closure holds `data` by reference count, so the payload
+  /// is never copied on its way to the server's store.
   [[nodiscard]] NfsResult<std::uint32_t> write(FileHandle file, std::uint64_t offset,
-                                               std::string_view data);
+                                               const fs::Bytes& data);
   /// The abbreviated wire sattr3 carries {mode, uid}; gid rides the
   /// in-process invocation only, so message sizes (and every charged byte)
   /// are unchanged by the gid plumbing.
@@ -202,10 +206,13 @@ class NfsClient {
   /// so call sites stay single-branch on the legacy path.
   [[nodiscard]] CircuitBreaker* breaker_for(net::HostId server);
 
+  /// Every RPC takes the next xid, whether or not its procedure is
+  /// DRC-keyed, so the xid sequence depends only on the calls made.
   std::uint32_t next_xid() { return ++xid_; }
 
   /// Replies are charged with a fixed header estimate plus payload; only
-  /// the call direction is fully XDR-encoded (see nfs/wire.hpp).
+  /// the call direction is sized exactly from its XDR form
+  /// (encoded_size_*, see nfs/wire.hpp).
   static constexpr std::size_t kReplyBytes = 96;
 
   net::SimNetwork* network_;

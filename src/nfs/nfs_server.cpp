@@ -246,7 +246,7 @@ NfsResult<ReadReply> NfsServer::read(FileHandle file, std::uint64_t offset,
 }
 
 NfsResult<std::uint32_t> NfsServer::write(FileHandle file, std::uint64_t offset,
-                                          std::string_view data) {
+                                          const fs::Bytes& data) {
   SpanScope span(tracer_, "server.write", host_);
   charge(costs_.read_meta);
   const auto inode = resolve(file);

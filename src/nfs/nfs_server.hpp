@@ -71,7 +71,7 @@ class NfsServer {
   [[nodiscard]] NfsResult<ReadReply> read(FileHandle file, std::uint64_t offset,
                                           std::uint32_t count);
   [[nodiscard]] NfsResult<std::uint32_t> write(FileHandle file, std::uint64_t offset,
-                                               std::string_view data);
+                                               const fs::Bytes& data);
   // Non-idempotent procedures take the caller's RpcContext: a valid
   // context engages the duplicate-request cache, so a retransmission of an
   // already-executed request returns the original reply instead of

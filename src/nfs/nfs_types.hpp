@@ -102,9 +102,9 @@ struct HandleReply {
   fs::Attr attr;
 };
 
-/// READ reply.
+/// READ reply. A flat store's data is a slice sharing the file's buffer.
 struct ReadReply {
-  std::string data;
+  fs::Bytes data;
   bool eof = false;
 };
 

@@ -64,7 +64,7 @@ Result<NfsProc, XdrError> decode_call_header(XdrReader& reader, std::uint32_t* x
 std::string encode_mount_call(std::uint32_t xid) {
   XdrWriter writer;
   encode_call_header(writer, xid, NfsProc::kMount);
-  writer.put_string("/kosha_store");
+  writer.put_string(kExportPath);
   return writer.data();
 }
 

@@ -2,10 +2,12 @@
 
 // NFS call marshalling over XDR.
 //
-// Each RPC the client issues is encoded into its on-the-wire form (RPC
-// header + procedure arguments, RFC 1813 shapes) so the network cost model
-// charges the true message sizes, and so the protocol layer is testable as
-// a codec: every call encoder has a matching decoder and they round-trip.
+// Every RPC the client issues has an on-the-wire form (RPC header +
+// procedure arguments, RFC 1813 shapes), and the network cost model
+// charges its true size. The encoders below build that form, and every one
+// has a matching decoder it round-trips with. The client itself sizes its
+// calls with the arithmetic encoded_size_* functions, which must equal the
+// encoders' output size, so sending a WRITE never copies its payload.
 
 #include <string>
 #include <string_view>
@@ -66,6 +68,9 @@ void encode_call_header(XdrWriter& writer, std::uint32_t xid, NfsProc proc);
 [[nodiscard]] Result<NfsProc, XdrError> decode_call_header(XdrReader& reader,
                                                            std::uint32_t* xid = nullptr);
 
+/// The path the MOUNT stand-in asks for.
+inline constexpr std::string_view kExportPath = "/kosha_store";
+
 // --- per-procedure argument encoders (full message incl. header) -----------
 [[nodiscard]] std::string encode_mount_call(std::uint32_t xid);
 [[nodiscard]] std::string encode_handle_call(std::uint32_t xid, NfsProc proc,
@@ -88,6 +93,46 @@ void encode_call_header(XdrWriter& writer, std::uint32_t xid, NfsProc proc);
                                              std::string_view from_name,
                                              const FileHandle& to_dir,
                                              std::string_view to_name);
+
+// --- encoded sizes: encoded_size_X(args) == encode_X(xid, args).size() ----
+// Arithmetic only, so the client can size a call without materialising it.
+// The xid, procedure and handle fields are fixed-width and do not appear.
+
+/// RPC call header: xid, message type, RPC version, program, version,
+/// procedure, and the AUTH_NULL credential and verifier (flavor + length).
+inline constexpr std::size_t kCallHeaderBytes = 10 * 4;
+/// A handle is an opaque of 20 bytes: server (4), inode (8), generation (8).
+inline constexpr std::size_t kHandleBytes = xdr_opaque_size(4 + 8 + 8);
+
+[[nodiscard]] constexpr std::size_t encoded_size_mount_call() {
+  return kCallHeaderBytes + xdr_opaque_size(kExportPath.size());
+}
+[[nodiscard]] constexpr std::size_t encoded_size_handle_call() {
+  return kCallHeaderBytes + kHandleBytes;
+}
+[[nodiscard]] constexpr std::size_t encoded_size_diropargs_call(std::string_view name) {
+  return kCallHeaderBytes + kHandleBytes + xdr_opaque_size(name.size());
+}
+[[nodiscard]] constexpr std::size_t encoded_size_create_call(std::string_view name) {
+  return encoded_size_diropargs_call(name) + 4 + 4;  // mode, uid
+}
+[[nodiscard]] constexpr std::size_t encoded_size_symlink_call(std::string_view name,
+                                                              std::string_view target) {
+  return encoded_size_diropargs_call(name) + xdr_opaque_size(target.size());
+}
+[[nodiscard]] constexpr std::size_t encoded_size_read_call() {
+  return kCallHeaderBytes + kHandleBytes + 8 + 4;  // offset, count
+}
+[[nodiscard]] constexpr std::size_t encoded_size_write_call(std::size_t data_bytes) {
+  return encoded_size_read_call() + xdr_opaque_size(data_bytes);  // READ's fields + payload
+}
+[[nodiscard]] constexpr std::size_t encoded_size_setattr_call(bool set_mode, bool set_size) {
+  return kCallHeaderBytes + kHandleBytes + 4 + (set_mode ? 4 : 0) + 4 + (set_size ? 8 : 0);
+}
+[[nodiscard]] constexpr std::size_t encoded_size_rename_call(std::string_view from_name,
+                                                             std::string_view to_name) {
+  return encoded_size_diropargs_call(from_name) + kHandleBytes + xdr_opaque_size(to_name.size());
+}
 
 // --- matching argument decoders (assume the header was consumed) -----------
 struct DiropArgs {

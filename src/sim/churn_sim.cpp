@@ -57,7 +57,7 @@ void collect_contents(const fs::StorageBackend& store, fs::InodeId dir, std::set
       if (!attr.ok()) continue;
       const auto data =
           store.read(entry.inode, 0, static_cast<std::uint32_t>(attr.value().size));
-      if (data.ok()) out->insert(std::move(data).value());
+      if (data.ok()) out->emplace(data.value().view());
     }
   }
 }

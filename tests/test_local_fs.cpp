@@ -1,9 +1,15 @@
 // LocalFs tests: namespace operations, data operations, capacity
-// accounting, generation/staleness, and the path helpers.
+// accounting, generation/staleness, the path helpers, and the shared
+// copy-on-write content buffers (fs/bytes.hpp).
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "fs/bytes.hpp"
 #include "fs/local_fs.hpp"
 
 namespace kosha::fs {
@@ -296,6 +302,192 @@ TEST(LocalFs, InodeReuseStress) {
     for (const auto& name : names) ASSERT_TRUE(store.remove(store.root(), name).ok());
     EXPECT_EQ(store.live_inode_count(), 1u);
   }
+}
+
+TEST(LocalFs, NamesAreLookedUpByView) {
+  // Names reach the store as views into longer paths; the directory map
+  // compares them without building strings, so nothing past the view may
+  // leak into the comparison.
+  LocalFs store;
+  const std::string_view path = "abc/def";
+  const auto made = store.create(store.root(), path.substr(0, 3));
+  ASSERT_TRUE(made.ok());
+  EXPECT_EQ(store.lookup(store.root(), "abc").value(), *made);
+  EXPECT_EQ(store.lookup(store.root(), path.substr(0, 2)).error(), FsStatus::kNoEnt);
+  EXPECT_EQ(store.create(store.root(), path.substr(0, 3)).error(), FsStatus::kExist);
+  ASSERT_TRUE(store.rename(store.root(), path.substr(0, 3), store.root(), path.substr(4)).ok());
+  EXPECT_TRUE(store.lookup(store.root(), "def").ok());
+  EXPECT_EQ(store.resolve("//def/").value(), *made);
+  EXPECT_TRUE(store.remove(store.root(), path.substr(4)).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Shared content buffers: one copy where bytes enter, copy-on-write after.
+// ---------------------------------------------------------------------------
+
+/// Two single-file stores that both took `payload` at offset 0.
+struct SharedPair {
+  LocalFs a;
+  LocalFs b;
+  InodeId fa = kInvalidInode;
+  InodeId fb = kInvalidInode;
+
+  explicit SharedPair(const Bytes& payload) {
+    fa = *a.create(a.root(), "f");
+    fb = *b.create(b.root(), "f");
+    EXPECT_TRUE(a.write(fa, 0, payload).ok());
+    EXPECT_TRUE(b.write(fb, 0, payload).ok());
+  }
+  [[nodiscard]] Bytes content_a() const { return *a.read(fa, 0, 1 << 30); }
+  [[nodiscard]] Bytes content_b() const { return *b.read(fb, 0, 1 << 30); }
+};
+
+TEST(LocalFsSharing, WriteIntoEmptyFileAdoptsTheBuffer) {
+  const Bytes payload(std::string(1000, 'x'));
+  SharedPair pair(payload);
+  EXPECT_TRUE(pair.content_a().shares_buffer_with(payload));
+  EXPECT_TRUE(pair.content_a().shares_buffer_with(pair.content_b()));
+  // Accounting is logical: each store counts the bytes it holds.
+  EXPECT_EQ(pair.a.used_bytes(), 1000u);
+  EXPECT_EQ(pair.b.used_bytes(), 1000u);
+  EXPECT_EQ(pair.a.subtree_bytes(pair.a.root()), pair.a.used_bytes());
+  EXPECT_EQ(pair.a.stats().shared_copy_bytes, 0u);
+}
+
+TEST(LocalFsSharing, SliceOfALargerBufferIsCopiedNotPinned) {
+  const Bytes big(std::string(4096, 'b'));
+  LocalFs store;
+  const auto file = *store.create(store.root(), "small");
+  ASSERT_TRUE(store.write(file, 0, big.slice(10, 16)).ok());
+  const Bytes held = *store.read(file, 0, 100);
+  EXPECT_EQ(held, std::string(16, 'b'));
+  EXPECT_FALSE(held.shares_buffer_with(big));
+}
+
+/// One mutation applied through `store` to `file`.
+using Mutation = void (*)(LocalFs& store, InodeId file);
+
+void overwrite_middle(LocalFs& store, InodeId file) {
+  ASSERT_TRUE(store.write(file, 2, "MID").ok());
+}
+void append_tail(LocalFs& store, InodeId file) {
+  const auto size = store.getattr(file)->size;
+  ASSERT_TRUE(store.write(file, size, "TAIL").ok());
+}
+void truncate_shorter(LocalFs& store, InodeId file) { ASSERT_TRUE(store.truncate(file, 3).ok()); }
+void truncate_longer(LocalFs& store, InodeId file) { ASSERT_TRUE(store.truncate(file, 40).ok()); }
+void truncate_empty(LocalFs& store, InodeId file) { ASSERT_TRUE(store.truncate(file, 0).ok()); }
+
+TEST(LocalFsSharing, MutationThroughOneHolderNeverReachesAnother) {
+  const std::string original = "0123456789abcdef";
+  for (const Mutation mutate :
+       {&overwrite_middle, &append_tail, &truncate_shorter, &truncate_longer, &truncate_empty}) {
+    for (const bool through_a : {true, false}) {
+      const Bytes payload(original);
+      SharedPair pair(payload);
+      const Bytes slice = *pair.a.read(pair.fa, 4, 8);  // an outstanding read
+      LocalFs& mutated = through_a ? pair.a : pair.b;
+      mutate(mutated, through_a ? pair.fa : pair.fb);
+      const Bytes other = through_a ? pair.content_b() : pair.content_a();
+      EXPECT_EQ(other, original);
+      EXPECT_EQ(slice, original.substr(4, 8));
+      EXPECT_EQ(payload, original);
+      // The mutated side changed and its accounting followed its size.
+      const Bytes mine = through_a ? pair.content_a() : pair.content_b();
+      EXPECT_NE(mine, original);
+      EXPECT_EQ(mutated.used_bytes(), mine.size());
+      EXPECT_EQ(mutated.subtree_bytes(mutated.root()), mutated.used_bytes());
+    }
+  }
+}
+
+TEST(LocalFsSharing, SharedBufferIsCopiedOnceThenMutatedInPlace) {
+  const Bytes payload(std::string(100, 'p'));
+  SharedPair pair(payload);
+  ASSERT_TRUE(pair.a.write(pair.fa, 100, "q").ok());
+  EXPECT_EQ(pair.a.stats().shared_copy_bytes, 100u);  // a's view left payload's buffer
+  ASSERT_TRUE(pair.a.write(pair.fa, 101, "r").ok());
+  EXPECT_EQ(pair.a.stats().shared_copy_bytes, 100u);  // now private: in place
+  EXPECT_EQ(pair.content_a(), std::string(100, 'p') + "qr");
+  EXPECT_EQ(pair.content_b(), std::string(100, 'p'));
+  // A truncate copies only the bytes it keeps, and only while shared.
+  ASSERT_TRUE(pair.b.truncate(pair.fb, 40).ok());
+  EXPECT_EQ(pair.b.stats().shared_copy_bytes, 40u);
+  ASSERT_TRUE(pair.b.truncate(pair.fb, 30).ok());
+  EXPECT_EQ(pair.b.stats().shared_copy_bytes, 40u);
+  EXPECT_EQ(payload, std::string(100, 'p'));
+}
+
+TEST(LocalFsSharing, ChunkedAppendsToAnUnsharedFileRunInPlace) {
+  // The shape of koshad's copy_tree: a 4 MB source read in 64 KB slices
+  // and appended to a fresh file. Each append must extend the file where
+  // it lies instead of copying everything written so far.
+  constexpr std::size_t kFile = 4u << 20;
+  constexpr std::size_t kChunk = 64u << 10;
+  std::string text(kFile, '\0');
+  Rng rng(5);
+  for (char& c : text) c = static_cast<char>('a' + rng.next_below(26));
+  LocalFs store;
+  const auto src = *store.create(store.root(), "src");
+  const auto dst = *store.create(store.root(), "dst");
+  ASSERT_TRUE(store.write(src, 0, Bytes(text)).ok());
+  for (std::size_t offset = 0; offset < kFile; offset += kChunk) {
+    const Bytes chunk = *store.read(src, offset, kChunk);
+    ASSERT_TRUE(chunk.shares_buffer_with(*store.read(src, 0, 1)));
+    ASSERT_TRUE(store.write(dst, offset, chunk).ok());
+  }
+  EXPECT_EQ(store.stats().shared_copy_bytes, 0u);
+  EXPECT_EQ(*store.read(dst, 0, kFile), text);
+  EXPECT_EQ(store.used_bytes(), 2 * kFile);
+
+  // An outstanding slice of the destination makes the next append copy
+  // once, and the slice keeps the bytes it was handed.
+  const Bytes held = *store.read(dst, kFile - 4, 4);
+  ASSERT_TRUE(store.write(dst, kFile - 2, "ZZZZ").ok());
+  EXPECT_EQ(store.stats().shared_copy_bytes, kFile);
+  EXPECT_EQ(held, text.substr(kFile - 4));
+  EXPECT_EQ(store.read(dst, kFile - 4, 8).value(), text.substr(kFile - 4, 2) + "ZZZZ");
+}
+
+TEST(LocalFsSharing, WritingAFilesOwnSliceBackIntoItIsSafe) {
+  LocalFs store;
+  const auto file = *store.create(store.root(), "self");
+  ASSERT_TRUE(store.write(file, 0, "abcdef").ok());
+  const Bytes head = *store.read(file, 0, 3);
+  ASSERT_TRUE(store.write(file, 4, head).ok());
+  EXPECT_EQ(store.read(file, 0, 100).value(), "abcdabc");
+  EXPECT_EQ(head, "abc");
+  const Bytes whole = *store.read(file, 0, 100);
+  ASSERT_TRUE(store.write(file, 7, whole).ok());
+  EXPECT_EQ(store.read(file, 0, 100).value(), "abcdabcabcdabc");
+}
+
+TEST(Bytes, ValueSemantics) {
+  Bytes empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty, "");
+  EXPECT_NE(empty.data(), nullptr);
+  EXPECT_FALSE(empty.shares_buffer_with(empty));
+  // Long enough to live on the heap, so adoption is observable.
+  std::string text = "adopted, not copied";
+  const char* before = text.data();
+  const Bytes adopted(std::move(text));
+  EXPECT_EQ(adopted.data(), before);
+  Bytes copy = adopted;
+  EXPECT_TRUE(copy.shares_buffer_with(adopted));
+  EXPECT_EQ(copy.write(0, "A"), adopted.size());
+  EXPECT_EQ(copy, "Adopted, not copied");
+  EXPECT_EQ(adopted, "adopted, not copied");
+  EXPECT_EQ(adopted.slice(2, 3), "opt");
+  EXPECT_EQ(adopted.slice(16, 100), "ied");
+  EXPECT_TRUE(adopted.slice(19, 1).empty());
+  EXPECT_EQ(copy.resize(21), 0u);
+  EXPECT_EQ(copy.view(), std::string_view("Adopted, not copied\0\0", 21));
+  // Writing an object into itself must read the bytes before it reshapes
+  // the buffer they live in.
+  Bytes self(std::string("0123456789abcdefghij"));
+  self.write(15, self);
+  EXPECT_EQ(self, "0123456789abcde0123456789abcdefghij");
 }
 
 }  // namespace

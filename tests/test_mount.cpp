@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "trace/mab.hpp"
@@ -118,6 +121,49 @@ TEST(Mount, ListReflectsChanges) {
   EXPECT_EQ(fx.mount.list("/ls")->size(), 2u);
   ASSERT_TRUE(fx.mount.remove("/ls/a").ok());
   EXPECT_EQ(fx.mount.list("/ls")->size(), 1u);
+}
+
+/// One step of a session: the xid the client took last, and the bytes
+/// every procedure's messages have charged so far.
+struct SessionStep {
+  std::uint32_t last_xid = 0;
+  std::uint64_t net_bytes = 0;
+};
+
+TEST(Mount, ShortSessionXidsAndBytesArePinned) {
+  // The client sizes its calls arithmetically (encoded_size_*) and takes
+  // one xid per RPC. This golden session pins both: the xid after every
+  // mount-level op and the bytes charged on the wire. A changed number
+  // means DRC keys or message sizes moved.
+  Fixture fx;
+  std::vector<SessionStep> steps;
+  const auto step = [&] {
+    steps.push_back({fx.cluster.daemon(0).nfs_client().last_xid(),
+                     fx.cluster.network().stats().bytes});
+  };
+  ASSERT_TRUE(fx.mount.mkdir_p("/golden/dir").ok());
+  step();
+  ASSERT_TRUE(fx.mount.write_file("/golden/dir/file", std::string(4097, 'g')).ok());
+  step();
+  ASSERT_EQ(fx.mount.read_file("/golden/dir/file")->size(), 4097u);
+  step();
+  ASSERT_TRUE(fx.mount.stat("/golden/dir/file").ok());
+  step();
+  ASSERT_TRUE(fx.mount.rename("/golden/dir/file", "/golden/dir/moved").ok());
+  step();
+  ASSERT_TRUE(fx.mount.list("/golden/dir").ok());
+  step();
+  ASSERT_TRUE(fx.mount.remove("/golden/dir/moved").ok());
+  step();
+  const std::vector<SessionStep> expected = {
+      {25, 28300}, {28, 37113}, {29, 41382}, {30, 41542},
+      {33, 42182}, {34, 42382}, {36, 42822},
+  };
+  ASSERT_EQ(steps.size(), expected.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].last_xid, expected[i].last_xid) << "step " << i;
+    EXPECT_EQ(steps[i].net_bytes, expected[i].net_bytes) << "step " << i;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "common/cli.hpp"
 #include "common/path.hpp"
 #include "common/rng.hpp"
+#include "kosha/audit.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "kosha/placement.hpp"
@@ -447,6 +448,154 @@ TEST(Replication, BackgroundMirroringNeverDelaysForeground) {
   EXPECT_EQ(k3.first, k0.first);
   EXPECT_LT(k0.second, k1.second);
   EXPECT_LT(k1.second, k3.second);
+}
+
+// ---------------------------------------------------------------------------
+// Shared content: the primary and its mirrors hold one buffer per file
+// (flat stores), every mutation is copy-on-write, and accounting stays
+// logical. On CAS stores the content checks still run; sharing does not
+// apply there (blocks are chunked and hashed instead).
+// ---------------------------------------------------------------------------
+
+bool flat_backend(const ClusterConfig& config) {
+  return config.kosha.storage.backend == fs::BackendKind::kFlat;
+}
+
+/// The primary's copy and every replica copy of a file, as stored bytes.
+std::vector<fs::Bytes> stored_copies(KoshaCluster& cluster, net::HostId primary,
+                                     const std::string& stored) {
+  std::vector<fs::Bytes> copies;
+  auto& primary_store = cluster.server(primary).store();
+  copies.push_back(*primary_store.read(*primary_store.resolve(stored), 0, 1 << 30));
+  const std::string hidden = ReplicaManager::hidden_root(cluster.node_id(primary)) + stored;
+  for (const pastry::NodeId target : cluster.replicas(primary).targets()) {
+    auto& store = cluster.server(cluster.overlay().host_of(target)).store();
+    const auto inode = store.resolve(hidden);
+    EXPECT_TRUE(inode.ok()) << hidden;
+    if (inode.ok()) copies.push_back(*store.read(*inode, 0, 1 << 30));
+  }
+  return copies;
+}
+
+void expect_logical_accounting(KoshaCluster& cluster) {
+  for (const net::HostId host : cluster.live_hosts()) {
+    const auto& store = cluster.server(host).store();
+    EXPECT_EQ(store.subtree_bytes(store.root()), store.used_bytes()) << "host " << host;
+  }
+  const auto audit = audit_cluster(cluster);
+  EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+TEST(ReplicaSharing, MirroredWriteLeavesOneBufferForPrimaryAndMirrors) {
+  const ClusterConfig config = config_for(6, 2);
+  KoshaCluster cluster(config);
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/sh").ok());
+  const std::string content(3000, 's');
+  ASSERT_TRUE(mount.write_file("/sh/f", content).ok());
+  const net::HostId primary = primary_host(cluster, 0, "/sh");
+  const std::string stored = stored_path({"sh", "f"}, 1, "sh");
+  const auto copies = stored_copies(cluster, primary, stored);
+  ASSERT_EQ(copies.size(), 3u);
+  for (const fs::Bytes& copy : copies) {
+    EXPECT_EQ(copy, content);
+    if (flat_backend(config)) {
+      EXPECT_TRUE(copy.shares_buffer_with(copies[0]));
+    }
+  }
+  // Logical accounting: each store counts the file once, however many
+  // stores share the buffer.
+  EXPECT_EQ(cluster.server(primary).store().subtree_bytes(
+                *cluster.server(primary).store().resolve(stored)),
+            content.size());
+  expect_logical_accounting(cluster);
+}
+
+TEST(ReplicaSharing, MutationsThroughEitherStoreStayPrivate) {
+  KoshaCluster cluster(config_for(6, 2));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/cow").ok());
+  const std::string original = "0123456789abcdefghij";
+  ASSERT_TRUE(mount.write_file("/cow/f", original).ok());
+  const net::HostId primary = primary_host(cluster, 0, "/cow");
+  const std::string stored = stored_path({"cow", "f"}, 1, "cow");
+  const fs::Bytes held = stored_copies(cluster, primary, stored)[0];  // outstanding slice
+  const auto vh = mount.resolve("/cow/f");
+  ASSERT_TRUE(vh.ok());
+
+  // Through koshad: the primary and each mirror apply the same partial
+  // write, append and truncate; all copies agree, the held slice does not move.
+  std::string expected = original;
+  ASSERT_TRUE(cluster.daemon(0).write(*vh, 3, fs::Bytes("XYZ")).ok());
+  expected.replace(3, 3, "XYZ");
+  ASSERT_TRUE(cluster.daemon(0).write(*vh, expected.size(), fs::Bytes("++")).ok());
+  expected += "++";
+  ASSERT_TRUE(cluster.daemon(0).truncate(*vh, 15).ok());
+  expected.resize(15);
+  for (const fs::Bytes& copy : stored_copies(cluster, primary, stored)) {
+    EXPECT_EQ(copy, expected);
+  }
+  EXPECT_EQ(held, original);
+
+  // Out of band, through one mirror's store only: neither the primary nor
+  // the other mirror may see it.
+  const pastry::NodeId target = cluster.replicas(primary).targets().front();
+  auto& mirror = cluster.server(cluster.overlay().host_of(target)).store();
+  const auto inode =
+      mirror.resolve(ReplicaManager::hidden_root(cluster.node_id(primary)) + stored);
+  ASSERT_TRUE(inode.ok());
+  ASSERT_TRUE(mirror.write(*inode, 0, "!").ok());
+  const auto copies = stored_copies(cluster, primary, stored);  // primary, then targets
+  ASSERT_EQ(copies.size(), 3u);
+  EXPECT_EQ(copies[0], expected);
+  EXPECT_EQ(copies[1], "!" + expected.substr(1));
+  EXPECT_EQ(copies[2], expected);
+  EXPECT_EQ(held, original);
+  EXPECT_EQ(mount.read_file("/cow/f").value(), expected);
+}
+
+TEST(ReplicaSharing, CrossNodeMoveAppendsChunksInPlace) {
+  // koshad moves a file between nodes by copy_tree: 64 KB READs from the
+  // source, each appended to the destination by a WRITE that the primary
+  // and every mirror apply. Each append must extend the file in place.
+  const ClusterConfig config = config_for(8, 2);
+  KoshaCluster cluster(config);
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/src").ok());
+  std::string dst_dir;
+  for (int i = 0; i < 32 && dst_dir.empty(); ++i) {
+    const std::string candidate = "/dst" + std::to_string(i);
+    ASSERT_TRUE(mount.mkdir_p(candidate).ok());
+    if (primary_host(cluster, 0, candidate) != primary_host(cluster, 0, "/src")) {
+      dst_dir = candidate;
+    }
+  }
+  ASSERT_FALSE(dst_dir.empty());
+  // CAS stores rehash the whole file on every write; a smaller file keeps
+  // that run short without changing what it checks.
+  const std::size_t size = flat_backend(config) ? (4u << 20) : (256u << 10);
+  std::string content(size, '\0');
+  Rng rng(3);
+  for (char& c : content) c = static_cast<char>('a' + rng.next_below(26));
+  ASSERT_TRUE(mount.write_file("/src/big", content).ok());
+
+  const auto copied = [&cluster] {
+    std::uint64_t total = 0;
+    for (const net::HostId host : cluster.live_hosts()) {
+      total += cluster.server(host).store().stats().shared_copy_bytes;
+    }
+    return total;
+  };
+  const std::uint64_t before = copied();
+  ASSERT_TRUE(mount.rename("/src/big", dst_dir + "/big").ok());
+  EXPECT_EQ(copied(), before);
+  EXPECT_EQ(mount.read_file(dst_dir + "/big").value(), content);
+  const net::HostId primary = primary_host(cluster, 0, dst_dir);
+  const std::string stored = stored_path({dst_dir.substr(1), "big"}, 1, dst_dir.substr(1));
+  const auto copies = stored_copies(cluster, primary, stored);
+  EXPECT_EQ(copies.size(), 3u);
+  for (const fs::Bytes& copy : copies) EXPECT_EQ(copy, content);
+  expect_logical_accounting(cluster);
 }
 
 }  // namespace

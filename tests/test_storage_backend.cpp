@@ -178,6 +178,80 @@ TEST_P(StorageParity, RandomOperationStreamsAgreeAcrossBackends) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageParity,
                          ::testing::Values(1, 7, 42, 99, 12345, 777, 31337));
 
+// Shared payloads: the same Bytes objects land in several files of both
+// stores (the flat store adopts them, CAS chunks them), files are copied
+// into each other through read slices, and outstanding slices are held
+// across later mutations. Every step must agree across backends, keep
+// accounting logical, and leave every held slice as it was handed out.
+TEST_P(StorageParity, SharedPayloadsAgreeAcrossBackends) {
+  const auto flat = make_backend(config_of(BackendKind::kFlat));
+  const auto cas = make_backend(config_of(BackendKind::kCas, /*chunk_bytes=*/8));
+  Rng rng(GetParam());
+  constexpr std::size_t kFiles = 6;
+  std::vector<InodeId> fi;
+  std::vector<InodeId> ci;
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    fi.push_back(*flat->create(flat->root(), "f" + std::to_string(i)));
+    ci.push_back(*cas->create(cas->root(), "f" + std::to_string(i)));
+  }
+  std::vector<Bytes> payloads;
+  for (int i = 0; i < 4; ++i) payloads.emplace_back(rng.next_name(1 + rng.next_below(60)));
+  std::vector<std::pair<Bytes, std::string>> held;  // slice, its bytes when taken
+
+  for (int op = 0; op < 400; ++op) {
+    const std::size_t f = rng.next_below(kFiles);
+    switch (rng.next_below(6)) {
+      case 0: {  // whole-file write of a shared payload
+        const Bytes& payload = payloads[rng.next_below(payloads.size())];
+        ASSERT_TRUE(flat->truncate(fi[f], 0).ok() && cas->truncate(ci[f], 0).ok());
+        ASSERT_TRUE(flat->write(fi[f], 0, payload).ok() && cas->write(ci[f], 0, payload).ok());
+        break;
+      }
+      case 1: {  // copy another file in through its read slice
+        const std::size_t from = rng.next_below(kFiles);
+        const Bytes a = *flat->read(fi[from], 0, 1 << 20);
+        const Bytes b = *cas->read(ci[from], 0, 1 << 20);
+        ASSERT_TRUE(flat->truncate(fi[f], 0).ok() && cas->truncate(ci[f], 0).ok());
+        ASSERT_TRUE(flat->write(fi[f], 0, a).ok() && cas->write(ci[f], 0, b).ok());
+        break;
+      }
+      case 2: {  // partial overwrite or append
+        const std::uint64_t offset = rng.next_below(80);
+        const std::string data = rng.next_name(1 + rng.next_below(20));
+        ASSERT_TRUE(flat->write(fi[f], offset, data).ok() && cas->write(ci[f], offset, data).ok());
+        break;
+      }
+      case 3: {  // truncate
+        const std::uint64_t size = rng.next_below(90);
+        ASSERT_TRUE(flat->truncate(fi[f], size).ok() && cas->truncate(ci[f], size).ok());
+        break;
+      }
+      case 4: {  // take a slice and keep it
+        const std::uint64_t offset = rng.next_below(40);
+        const auto count = static_cast<std::uint32_t>(rng.next_below(40));
+        const Bytes slice = *flat->read(fi[f], offset, count);
+        EXPECT_EQ(slice, cas->read(ci[f], offset, count).value());
+        held.emplace_back(slice, std::string(slice.view()));
+        break;
+      }
+      default:  // drop a held slice
+        if (!held.empty()) {
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(rng.next_below(held.size())));
+        }
+        break;
+    }
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      ASSERT_EQ(flat->read(fi[i], 0, 1 << 20).value(), cas->read(ci[i], 0, 1 << 20).value())
+          << "op " << op << " file " << i;
+    }
+    ASSERT_EQ(flat->used_bytes(), cas->used_bytes()) << "op " << op;
+    ASSERT_EQ(flat->subtree_bytes(flat->root()), flat->used_bytes()) << "op " << op;
+    ASSERT_EQ(cas->subtree_bytes(cas->root()), cas->used_bytes()) << "op " << op;
+    for (const auto& [slice, bytes] : held) ASSERT_EQ(slice, bytes) << "op " << op;
+  }
+  EXPECT_EQ(cas->stats().shared_copy_bytes, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Interface basics shared by both backends.
 // ---------------------------------------------------------------------------

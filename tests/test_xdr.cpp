@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nfs/wire.hpp"
@@ -208,6 +210,61 @@ TEST(Wire, WriteSizeMatchesPayload) {
   EXPECT_EQ(large - small, 1000u - 4u);  // 1000 vs 2+2pad
   EXPECT_EQ(large % 4, 0u);
 }
+
+// The client sizes every call with encoded_size_* instead of encoding it;
+// each must equal the matching encoder's output size exactly, or the
+// network would charge different bytes than the wire form has.
+class WireSize : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WireSize, ArithmeticSizesMatchEncoders) {
+  Rng rng(GetParam());
+  const auto random_name = [&rng] { return rng.next_name(rng.next_below(301)); };
+  const auto handle = [&rng] { return sample_handle(static_cast<std::uint32_t>(rng.next_u64())); };
+  const auto xid = [&rng] { return static_cast<std::uint32_t>(rng.next_u64()); };
+  EXPECT_EQ(encoded_size_mount_call(), encode_mount_call(xid()).size());
+  for (int i = 0; i < 200; ++i) {
+    const std::string name = random_name();
+    const std::string other = random_name();
+    for (const NfsProc proc : kAllProcs) {
+      EXPECT_EQ(encoded_size_handle_call(), encode_handle_call(xid(), proc, handle()).size());
+      EXPECT_EQ(encoded_size_diropargs_call(name),
+                encode_diropargs_call(xid(), proc, handle(), name).size())
+          << name.size();
+      EXPECT_EQ(encoded_size_create_call(name),
+                encode_create_call(xid(), proc, handle(), name, 0644, 7).size())
+          << name.size();
+    }
+    EXPECT_EQ(encoded_size_symlink_call(name, other),
+              encode_symlink_call(xid(), handle(), name, other).size());
+    EXPECT_EQ(encoded_size_rename_call(name, other),
+              encode_rename_call(xid(), handle(), name, handle(), other).size());
+    EXPECT_EQ(encoded_size_read_call(),
+              encode_read_call(xid(), handle(), rng.next_u64(), 4096).size());
+    for (const bool set_mode : {false, true}) {
+      for (const bool set_size : {false, true}) {
+        EXPECT_EQ(encoded_size_setattr_call(set_mode, set_size),
+                  encode_setattr_call(xid(), handle(), set_mode, 0600, set_size, 99).size());
+      }
+    }
+  }
+}
+
+TEST_P(WireSize, WritePayloadsOfEveryResidueUpTo4MiB) {
+  Rng rng(GetParam());
+  std::vector<std::size_t> lengths;
+  for (std::size_t base : {std::size_t{0}, std::size_t{4096}, std::size_t{(4u << 20) - 4}}) {
+    for (std::size_t r = 0; r <= 4; ++r) lengths.push_back(base + r);
+  }
+  for (int i = 0; i < 5; ++i) lengths.push_back(rng.next_below(1u << 16));
+  for (const std::size_t length : lengths) {
+    const std::string payload(length, 'p');
+    EXPECT_EQ(encoded_size_write_call(length),
+              encode_write_call(1, sample_handle(2), rng.next_u64(), payload).size())
+        << length;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireSize, ::testing::Values(71, 72));
 
 class XdrFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
