@@ -11,6 +11,8 @@ namespace kosha {
 EventLoop::EventLoop(SimClock* clock, std::uint64_t seed)
     : clock_(clock), rng_(seed ^ 0xC0FFEE123456789Bull) {
   assert(clock_ != nullptr);
+  recent_delays_.fill(-1);
+  lane_delays_.fill(-1);
 }
 
 EventLoop::EventId EventLoop::schedule_at(SimDuration when, EventFn fn) {
@@ -30,6 +32,39 @@ EventLoop::EventId EventLoop::schedule_after(SimDuration delay, const char* cate
   return push(clock_->now() + delay, category, fn);
 }
 
+void EventLoop::Lane::push_back(const Key& key) {
+  if (size_ == ring_.size()) {
+    // Unroll the ring into a buffer twice the size.
+    std::vector<Key> grown(2 * ring_.size());
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = at(i);
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + size_) & mask()] = key;
+  ++size_;
+}
+
+int EventLoop::lane_for(SimDuration delay) {
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    if (lane_delays_[i] == delay.ns) return static_cast<int>(i);
+  }
+  // A first sighting only takes note; a delay claims a lane once it
+  // recurs, so one-off (jittered) delays never crowd out the steady ones.
+  const auto bucket = static_cast<std::uint64_t>(delay.ns) * 0x9E3779B97F4A7C15ull >> 58;
+  std::int64_t& seen = recent_delays_[bucket];
+  if (seen != delay.ns) {
+    seen = delay.ns;
+    return kHeadHeap;
+  }
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    if (lanes_[i].empty()) {
+      lane_delays_[i] = delay.ns;
+      return static_cast<int>(i);
+    }
+  }
+  return kHeadHeap;
+}
+
 EventLoop::EventId EventLoop::push(SimDuration when, const char* category, EventFn& fn) {
   const EventId id = next_id_++;
   std::uint32_t slot = 0;
@@ -42,52 +77,103 @@ EventLoop::EventId EventLoop::push(SimDuration when, const char* category, Event
   }
   slots_[slot].fn = std::move(fn);
   slots_[slot].category = category != nullptr ? category : "event";
-  heap_.push_back(Key{std::max(when, clock_->now()), id, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const SimDuration now = clock_->now();
+  const Key key{std::max(when, now), id, slot};
+  // The tail rule: the key joins its delay's lane only if that keeps the
+  // lane sorted. Its id is the largest yet, so "not before the tail in
+  // time" is enough; a key that a rewound or paused clock put earlier
+  // goes to the heap.
+  int source = lane_for(key.when - now);
+  if (source != kHeadHeap) {
+    Lane& lane = lanes_[static_cast<std::size_t>(source)];
+    if (lane.empty() || lane.back().when <= key.when) {
+      lane.push_back(key);
+      ++stats_.laned;
+    } else {
+      source = kHeadHeap;
+    }
+  }
+  if (source == kHeadHeap) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  ++queued_;
+  // Keep the cached head exact: a new key is the earliest only if it is
+  // strictly earlier in time (on a tie the head's id is lower).
+  if (head_ == kHeadNone || (head_ != kHeadStale && key.when < front_of(head_).when)) head_ = source;
   ++stats_.scheduled;
   return id;
 }
 
 bool EventLoop::cancel(EventId id) {
   if (id == kInvalidEvent || id >= next_id_) return false;
-  // Only ids still somewhere in the heap are pending; anything else ran.
+  // Only ids still queued are pending; anything else ran.
+  const Key* found = nullptr;
   const auto it = std::find_if(heap_.begin(), heap_.end(),
                                [id](const Key& k) { return k.id == id; });
-  if (it == heap_.end() || slots_[it->slot].cancelled) return false;
-  slots_[it->slot].cancelled = true;
+  if (it != heap_.end()) found = &*it;
+  for (const Lane& lane : lanes_) {
+    for (std::size_t i = 0; found == nullptr && i < lane.size(); ++i) {
+      if (lane.at(i).id == id) found = &lane.at(i);
+    }
+  }
+  if (found == nullptr || slots_[found->slot].cancelled) return false;
+  slots_[found->slot].cancelled = true;
   ++cancelled_pending_;
   ++stats_.cancelled;
+  head_ = kHeadStale;
   return true;
 }
 
 EventLoop::Key EventLoop::pop_head() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
-  heap_.pop_back();
+  Key key;
+  if (head_ == kHeadHeap) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    key = heap_.back();
+    heap_.pop_back();
+  } else {
+    Lane& lane = lanes_[static_cast<std::size_t>(head_)];
+    key = lane.front();
+    lane.pop_front();
+  }
+  --queued_;
+  // An emptied queue needs no search: the next push is the head.
+  head_ = queued_ == 0 ? kHeadNone : kHeadStale;
   free_slots_.push_back(key.slot);
   return key;
 }
 
-void EventLoop::drop_cancelled_heads() {
-  while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
+bool EventLoop::find_head() {
+  if (head_ != kHeadStale) return head_ != kHeadNone;
+  for (;;) {
+    int best = heap_.empty() ? kHeadNone : kHeadHeap;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const Lane& lane = lanes_[i];
+      if (!lane.empty() && (best == kHeadNone || earlier(lane.front(), front_of(best)))) {
+        best = static_cast<int>(i);
+      }
+    }
+    head_ = best;
+    if (best == kHeadNone) return false;
+    if (cancelled_pending_ == 0 || !slots_[front_of(best).slot].cancelled) return true;
+    // The earliest key was cancelled: drop it and look again.
     Slot& slot = slots_[pop_head().slot];
     slot.cancelled = false;
     --cancelled_pending_;
-    // The captures die here, exactly once, after the slot is consistent
-    // (a capture's destructor may itself schedule).
+    // The captures die here, exactly once, after the queues are consistent
+    // (a capture's destructor may itself schedule, or grow the pool).
     const EventFn dead = std::move(slot.fn);
   }
 }
 
 bool EventLoop::step() {
-  drop_cancelled_heads();
-  if (heap_.empty()) return false;
+  if (!find_head()) return false;
   // Move the callback out before running it: the callback may schedule
   // events that reuse its slot or grow (and so move) the pool.
-  Slot& head = slots_[heap_.front().slot];
+  const Key key = pop_head();
+  Slot& head = slots_[key.slot];
   EventFn fn = std::move(head.fn);
   const char* category = head.category;
-  const Key key = pop_head();
   clock_->advance_to(key.when);
   ++stats_.executed;
   if (profiler_ != nullptr) {
@@ -124,10 +210,10 @@ std::size_t EventLoop::run_until(const std::function<bool()>& done) {
 std::size_t EventLoop::run_until_time(SimDuration when) {
   std::size_t ran = 0;
   for (;;) {
-    // The peek below must see the true earliest live event.
-    drop_cancelled_heads();
-    if (heap_.empty() || heap_.front().when.ns > when.ns) break;
-    if (step()) ++ran;
+    // The peek sees the earliest live event; step() reuses the lookup.
+    if (!find_head() || front_of(head_).when.ns > when.ns) break;
+    step();
+    ++ran;
   }
   clock_->advance_to(when);
   return ran;

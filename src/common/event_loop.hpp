@@ -13,17 +13,33 @@
 //   * randomness (e.g. jittered timers) comes exclusively from the loop's
 //     seeded Rng stream, so same-seed runs replay byte-identically.
 //
-// Storage: the binary heap holds 24-byte keys {when, id, slot}; each
-// event's callback lives in a slot of a pool (a vector plus a free list)
-// and never moves while the heap sifts. Callbacks are EventFn, a move-only
-// callable with a fixed inline buffer, so scheduling an event allocates
-// nothing once the pool has grown to the peak number of pending events.
+// Storage: every pending event has a 24-byte key {when, id, slot}; its
+// callback lives in a slot of a pool (a vector plus a free list) and never
+// moves while keys do. Callbacks are EventFn, a move-only callable with a
+// fixed inline buffer, so scheduling an event allocates nothing once the
+// pool and the queues have grown to the peak number of pending events.
+//
+// Keys sit either in a binary heap or in one of kLanes FIFO lanes beside
+// it. A lane is keyed by one exact delay (when - now at push time): a
+// recurring fixed delay, such as a heartbeat's one-way wire time or a
+// round timeout, claims an empty lane the second time it is seen, and a
+// push with that delay is appended to the lane when its key is not earlier
+// than the lane's tail; any other push goes to the heap. Because ids grow
+// monotonically, this tail rule is all it takes to keep every lane sorted
+// by (when, id), whatever the clock does: after a set_now rewind or under
+// a ClockPauser, now + delay may fall before the tail, and that push simply
+// goes to the heap. Dispatch takes the earliest of the heap's head and the
+// lanes' heads, so the order is exactly the (when, id) order of one heap,
+// while fixed-delay traffic costs O(1) per event instead of O(log n). The
+// earliest head is cached between dispatches (and needs no search when the
+// queue was empty), so step() finds it once.
 //
 // Cancellation is lazy: cancel() flags the event's slot and the loop drops
-// flagged keys when they reach the head of the heap, keeping schedule and
-// dispatch O(log n) without heap surgery. cancel() itself scans the heap
-// keys for the id; only RPC abandonment timers use it.
+// a flagged key when it becomes the earliest, keeping schedule and
+// dispatch free of queue surgery. cancel() itself scans the keys for the
+// id; only RPC abandonment timers use it.
 
+#include <array>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -78,6 +94,9 @@ class EventFn {
   void operator()() { ops_->invoke(buf_); }
 
  private:
+  static constexpr std::size_t kChunk = 16;
+  static_assert(kCapacity % kChunk == 0);
+
   struct Ops {
     void (*invoke)(void* self);
     /// Move-construct into `to` and destroy the source; nullptr when a
@@ -85,6 +104,9 @@ class EventFn {
     void (*relocate)(void* from, void* to) noexcept;
     /// nullptr when destruction is a no-op.
     void (*destroy)(void* self) noexcept;
+    /// The bytes a trivial relocation copies: sizeof the callable rounded
+    /// up to whole kChunk blocks, so the copy is a few fixed-size moves.
+    std::size_t size;
   };
   template <typename D>
   static constexpr Ops kOps = {
@@ -99,6 +121,7 @@ class EventFn {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* self) noexcept { std::destroy_at(static_cast<D*>(self)); },
+      (sizeof(D) + kChunk - 1) / kChunk * kChunk,
   };
 
   void take(EventFn& other) noexcept {
@@ -107,7 +130,9 @@ class EventFn {
     if (ops_->relocate != nullptr) {
       ops_->relocate(other.buf_, buf_);
     } else {
-      std::memcpy(buf_, other.buf_, kCapacity);
+      for (std::size_t i = 0; i < ops_->size; i += kChunk) {
+        std::memcpy(buf_ + i, other.buf_ + i, kChunk);
+      }
     }
   }
   void reset() noexcept {
@@ -168,7 +193,7 @@ class EventLoop {
   [[nodiscard]] SimDuration now() const { return clock_->now(); }
   [[nodiscard]] SimClock& clock() { return *clock_; }
   /// Pending (scheduled, not yet run or cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_pending_; }
+  [[nodiscard]] std::size_t pending() const { return queued_ - cancelled_pending_; }
 
   /// The loop's deterministic randomness stream; the only sanctioned
   /// source of scheduling jitter.
@@ -181,6 +206,8 @@ class EventLoop {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
+    /// Scheduled events whose key went to a fixed-delay lane, not the heap.
+    std::uint64_t laned = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -193,7 +220,7 @@ class EventLoop {
   [[nodiscard]] SimProfiler* profiler() const { return profiler_; }
 
  private:
-  /// Heap key. Min-heap order: earliest time first, then lowest
+  /// Queue key. Dispatch order: earliest time first, then lowest
   /// (earliest-assigned) id — the monotonic tie-break that keeps
   /// same-time dispatch FIFO.
   struct Key {
@@ -201,11 +228,12 @@ class EventLoop {
     EventId id = kInvalidEvent;
     std::uint32_t slot = 0;
   };
+  static bool earlier(const Key& a, const Key& b) {
+    if (a.when.ns != b.when.ns) return a.when.ns < b.when.ns;
+    return a.id < b.id;
+  }
   struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.when.ns != b.when.ns) return a.when.ns > b.when.ns;
-      return a.id > b.id;
-    }
+    bool operator()(const Key& a, const Key& b) const { return earlier(b, a); }
   };
   struct Slot {
     EventFn fn;
@@ -213,21 +241,72 @@ class EventLoop {
     bool cancelled = false;
   };
 
+  /// A FIFO of keys pushed with one exact delay: a ring buffer (power-of-
+  /// two capacity) that only grows, so appends allocate nothing once it
+  /// has held its peak. The first 16 slots come with the loop.
+  class Lane {
+   public:
+    Lane() : ring_(16) {}
+
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const Key& front() const { return ring_[head_]; }
+    [[nodiscard]] const Key& back() const { return ring_[(head_ + size_ - 1) & mask()]; }
+    [[nodiscard]] const Key& at(std::size_t i) const { return ring_[(head_ + i) & mask()]; }
+    void push_back(const Key& key);
+    void pop_front() {
+      head_ = (head_ + 1) & mask();
+      --size_;
+    }
+
+   private:
+    [[nodiscard]] std::size_t mask() const { return ring_.size() - 1; }
+    std::vector<Key> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  /// Lanes beside the heap. A handful covers the recurring delays of a
+  /// heartbeat soak (wire time, round timeout); more would only lengthen
+  /// the per-push lane scan and the per-dispatch head scan.
+  static constexpr std::size_t kLanes = 4;
+  /// Where the earliest live key sits: lanes_[head_], or one of these.
+  static constexpr int kHeadHeap = -1;
+  static constexpr int kHeadNone = -2;   ///< nothing pending
+  static constexpr int kHeadStale = -3;  ///< unknown until find_head()
+
   /// Shared body of the schedule_* overloads: `fn` moves into a slot.
   EventId push(SimDuration when, const char* category, EventFn& fn);
-  /// Pop the heap's head key and return its slot to the free list; the
-  /// caller must have taken whatever it needs from the slot first.
+  /// The lane that takes a key pushed with `delay`, or kHeadHeap for the
+  /// heap. Claims an empty lane for a delay seen before.
+  int lane_for(SimDuration delay);
+  /// Point head_ at the earliest live key, dropping cancelled keys found
+  /// there first. Returns false when none is left.
+  bool find_head();
+  /// The first key of a source (kHeadHeap or a lane index), not empty.
+  [[nodiscard]] const Key& front_of(int source) const {
+    return source == kHeadHeap ? heap_.front() : lanes_[static_cast<std::size_t>(source)].front();
+  }
+  /// Remove the head key (find_head() must have returned true) and return
+  /// its slot to the free list; the caller must take what it needs from
+  /// the slot before anything schedules again and reuses it.
   Key pop_head();
-  /// Drop cancelled keys at the heap's head, so the head (if any) is the
-  /// earliest live event.
-  void drop_cancelled_heads();
 
   SimClock* clock_;
   Rng rng_;
   std::vector<Key> heap_;
+  std::array<Lane, kLanes> lanes_;
+  /// The delay each lane serves, apart from the lanes so the per-push scan
+  /// reads one cache line; negative while unclaimed.
+  std::array<std::int64_t, kLanes> lane_delays_;
+  /// Delays recently pushed to the heap, direct-mapped by a hash of the
+  /// delay: a delay found here on its next push has recurred.
+  std::array<std::int64_t, 64> recent_delays_;
+  int head_ = kHeadNone;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Cancelled keys still sitting in the heap.
+  /// Keys in the heap and the lanes, cancelled ones included.
+  std::size_t queued_ = 0;
+  /// Cancelled keys still queued.
   std::size_t cancelled_pending_ = 0;
   EventId next_id_ = 1;
   Stats stats_;

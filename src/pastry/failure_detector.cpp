@@ -17,9 +17,6 @@ namespace {
 constexpr std::size_t kProbeBytes = 32;
 constexpr std::size_t kIndirectBytes = 48;
 
-/// Orders peer-table entries by id (lower_bound against a bare id).
-constexpr auto id_less = [](const auto& entry, NodeId id) { return entry.first < id; };
-
 }  // namespace
 
 FailureDetector::FailureDetector(FailureDetectorConfig config, PastryOverlay* overlay,
@@ -56,24 +53,30 @@ void FailureDetector::stop() {
   if (overlay_->detector(self_) == this) overlay_->set_detector(self_, nullptr);
 }
 
-FailureDetector::PeerState* FailureDetector::find_peer(NodeId id) {
-  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id, id_less);
-  return it != peers_.end() && it->first == id ? &it->second : nullptr;
+std::size_t FailureDetector::find_peer(NodeId id) const {
+  const auto it = std::lower_bound(peer_ids_.begin(), peer_ids_.end(), id);
+  return it != peer_ids_.end() && *it == id ? static_cast<std::size_t>(it - peer_ids_.begin())
+                                            : kNoPeer;
 }
 
-const FailureDetector::PeerState* FailureDetector::find_peer(NodeId id) const {
-  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id, id_less);
-  return it != peers_.end() && it->first == id ? &it->second : nullptr;
+std::size_t FailureDetector::find_or_add_peer(NodeId id) {
+  const auto it = std::lower_bound(peer_ids_.begin(), peer_ids_.end(), id);
+  const auto index = static_cast<std::size_t>(it - peer_ids_.begin());
+  if (it == peer_ids_.end() || *it != id) {
+    peer_ids_.insert(it, id);
+    peer_states_.insert(peer_states_.begin() + static_cast<std::ptrdiff_t>(index), PeerState{});
+  }
+  return index;
 }
 
 bool FailureDetector::is_suspected(NodeId id) const {
-  const PeerState* state = find_peer(id);
-  return state != nullptr && state->status == Status::kSuspected;
+  const std::size_t peer = find_peer(id);
+  return peer != kNoPeer && peer_states_[peer].status == Status::kSuspected;
 }
 
 bool FailureDetector::has_declared_dead(NodeId id) const {
-  const PeerState* state = find_peer(id);
-  return state != nullptr && state->status == Status::kDead;
+  const std::size_t peer = find_peer(id);
+  return peer != kNoPeer && peer_states_[peer].status == Status::kDead;
 }
 
 void FailureDetector::schedule_tick() {
@@ -94,15 +97,26 @@ void FailureDetector::trace_event(const char* name, NodeId peer) {
 
 void FailureDetector::prune_state() {
   const LeafSet& leaves = overlay_->leaf_set(self_);
-  std::erase_if(peers_, [&](const auto& entry) {
-    const auto& [id, state] = entry;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < peer_ids_.size(); ++i) {
+    const NodeId id = peer_ids_[i];
+    const bool dead = peer_states_[i].status == Status::kDead;
     // A death verdict about a still-live peer outlives leaf membership
     // (report_failure removed it from our leaf set; the verdict is what
     // keeps repair from re-inserting it until the peer proves itself).
     // Everything else is forgotten once the peer leaves the monitored set.
-    const bool keep_verdict = state.status == Status::kDead && overlay_->is_live(id);
-    return !leaves.contains(id) && !keep_verdict;
-  });
+    if (!leaves.contains(id) && !(dead && overlay_->is_live(id))) {
+      if (dead) --death_verdicts_;
+      continue;
+    }
+    if (kept != i) {
+      peer_ids_[kept] = id;
+      peer_states_[kept] = peer_states_[i];
+    }
+    ++kept;
+  }
+  peer_ids_.resize(kept);
+  peer_states_.resize(kept);
 }
 
 void FailureDetector::tick() {
@@ -111,8 +125,15 @@ void FailureDetector::tick() {
   round_.clear();
   for (const NodeId m : overlay_->leaf_set(self_).members()) {
     if (m == self_) continue;
-    if (has_declared_dead(m)) continue;
-    round_.push_back(RoundProbe{m, 0});
+    const std::size_t size_before = peer_ids_.size();
+    const std::size_t peer = find_or_add_peer(m);
+    if (peer_ids_.size() != size_before) {
+      // The insert shifted every later entry, including ones this round
+      // already holds.
+      for (RoundProbe& p : round_) p.peer += p.peer >= peer;
+    }
+    if (peer_states_[peer].status == Status::kDead) continue;
+    round_.push_back(RoundProbe{peer, 0});
   }
   if (!round_.empty()) {
     // The round's miss timers would all fire at the same instant, so one
@@ -124,27 +145,27 @@ void FailureDetector::tick() {
     loop_->schedule_after(config_.probe_timeout, "fd.timeout", [overlay, self] {
       if (FailureDetector* d = overlay->detector(self)) d->on_round_timeout();
     });
-    for (RoundProbe& p : round_) p.seq = probe(p.target);
+    for (RoundProbe& p : round_) p.seq = probe(p.peer);
   }
   schedule_tick();
 }
 
 void FailureDetector::on_round_timeout() {
   // probe_timeout < probe_period: the next tick cannot have refilled
-  // round_ yet, and on_probe_timeout never dispatches events.
-  for (const RoundProbe& p : round_) on_probe_timeout(p.target, p.seq);
+  // round_ or changed the peer table yet, so the round's indices hold,
+  // and on_probe_timeout never dispatches events.
+  for (const RoundProbe& p : round_) on_probe_timeout(p.peer, p.seq);
 }
 
-std::uint64_t FailureDetector::probe(NodeId target) {
-  auto it = std::lower_bound(peers_.begin(), peers_.end(), target, id_less);
-  if (it == peers_.end() || it->first != target) it = peers_.insert(it, {target, PeerState{}});
-  const std::uint64_t seq = ++it->second.last_seq;
+std::uint64_t FailureDetector::probe(std::size_t peer) {
+  const std::uint64_t seq = ++peer_states_[peer].last_seq;
   ++stats_.probes_sent;
   PastryOverlay* overlay = overlay_;
   net::SimNetwork* network = network_;
   EventLoop* loop = loop_;
   const NodeId self = self_;
   const std::uint64_t self_boot = boot_;
+  const NodeId target = peer_ids_[peer];
 
   const net::HostId target_host = overlay_->host_of(target);
   if (!network_->is_up(target_host)) return seq;  // dead host: the wire eats it
@@ -179,8 +200,11 @@ bool FailureDetector::on_probe_request(NodeId from, std::uint64_t from_boot) {
 }
 
 void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
-  PeerState* state = find_peer(peer);
-  if (state == nullptr || state->status != Status::kDead) return;
+  if (death_verdicts_ == 0) return;  // nothing to heal: skip the search
+  const std::size_t index = find_peer(peer);
+  if (index == kNoPeer) return;
+  PeerState* state = &peer_states_[index];
+  if (state->status != Status::kDead) return;
   if (!overlay_->is_live(peer)) return;
   // Boot verification (rejoin vs split-brain): only the incarnation we
   // declared dead may be reinstated. A revived node carries a fresh boot
@@ -190,6 +214,7 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
   state->misses = 0;
   state->failed_rounds = 0;
   ++state->generation;
+  --death_verdicts_;
   ++stats_.reinstated;
   trace_event("fd.reinstate", peer);
   // Reintroduction repairs the leaf set off the critical path: the traffic
@@ -200,9 +225,9 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
 
 void FailureDetector::on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot) {
   if (!running_) return;
-  PeerState* found = find_peer(target);
-  if (found == nullptr) return;
-  PeerState& state = *found;
+  const std::size_t peer = find_peer(target);
+  if (peer == kNoPeer) return;
+  PeerState& state = peer_states_[peer];
   state.last_ack_seq = std::max(state.last_ack_seq, seq);
   state.last_boot = target_boot;
   last_ack_time_ = loop_->now();
@@ -220,12 +245,11 @@ void FailureDetector::on_probe_ack(NodeId target, std::uint64_t seq, std::uint64
   }
 }
 
-void FailureDetector::on_probe_timeout(NodeId target, std::uint64_t seq) {
+void FailureDetector::on_probe_timeout(std::size_t peer, std::uint64_t seq) {
   if (!running_) return;
-  PeerState* found = find_peer(target);
-  if (found == nullptr) return;
-  PeerState& state = *found;
+  PeerState& state = peer_states_[peer];
   if (state.last_ack_seq >= seq) return;  // answered in time
+  const NodeId target = peer_ids_[peer];
   ++state.misses;
   ++stats_.probe_misses;
   network_->note_timeout();
@@ -241,9 +265,9 @@ void FailureDetector::on_probe_timeout(NodeId target, std::uint64_t seq) {
 
 void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t generation) {
   if (!running_) return;
-  const PeerState* state = find_peer(target);
-  if (state == nullptr || state->status != Status::kSuspected ||
-      state->generation != generation) {
+  const std::size_t peer = find_peer(target);
+  if (peer == kNoPeer || peer_states_[peer].status != Status::kSuspected ||
+      peer_states_[peer].generation != generation) {
     return;
   }
   ++stats_.indirect_rounds;
@@ -263,8 +287,8 @@ void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t gene
   for (const NodeId helper : overlay_->leaf_set(self_).members()) {
     if (used >= config_.indirect_probes) break;
     if (helper == target || helper == self_) continue;
-    const PeerState* hs = find_peer(helper);
-    if (hs != nullptr && hs->status != Status::kAlive) continue;
+    const std::size_t hs = find_peer(helper);
+    if (hs != kNoPeer && peer_states_[hs].status != Status::kAlive) continue;
     ++used;
     const net::HostId helper_host = overlay_->host_of(helper);
     if (!network_->is_up(helper_host)) continue;
@@ -301,12 +325,12 @@ void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t gene
 
 void FailureDetector::on_confirmation(NodeId target, std::uint64_t generation, bool reached) {
   if (!running_) return;
-  PeerState* found = find_peer(target);
-  if (found == nullptr || found->status != Status::kSuspected ||
-      found->generation != generation) {
+  const std::size_t peer = find_peer(target);
+  if (peer == kNoPeer || peer_states_[peer].status != Status::kSuspected ||
+      peer_states_[peer].generation != generation) {
     return;  // refuted or resolved while the round was in flight
   }
-  PeerState& state = *found;
+  PeerState& state = peer_states_[peer];
   if (reached) {
     state.status = Status::kAlive;
     state.misses = 0;
@@ -331,12 +355,11 @@ void FailureDetector::on_confirmation(NodeId target, std::uint64_t generation, b
   //     gate keeps a genuine mass failure declarable: there the surviving
   //     minority keeps acking every probe period.
   std::size_t distrusted = 0;
-  for (const auto& [peer, peer_state] : peers_) {
-    (void)peer;
+  for (const PeerState& peer_state : peer_states_) {
     distrusted += peer_state.status != Status::kAlive;
   }
   const SimDuration since_ack = loop_->now() - last_ack_time_;
-  const bool majority_down = peers_.size() >= 4 && 2 * distrusted > peers_.size() &&
+  const bool majority_down = peer_states_.size() >= 4 && 2 * distrusted > peer_states_.size() &&
                              since_ack > config_.probe_period + config_.probe_timeout * 2;
   if (majority_down || since_ack > config_.isolation_window) {
     ++stats_.quarantined_verdicts;
@@ -362,6 +385,7 @@ void FailureDetector::on_quarantine_retry(NodeId target, std::uint64_t generatio
 void FailureDetector::declare_dead(NodeId target, PeerState& state) {
   state.status = Status::kDead;
   ++state.generation;
+  ++death_verdicts_;
   ++stats_.declared_dead;
   trace_event("fd.declare", target);
   // Repair traffic is anti-entropy background work: counted, not charged

@@ -44,14 +44,13 @@
 //
 // Determinism: probe timers draw jitter from the event loop's seeded Rng
 // only; message fates come from the fault plan's seeded stream via
-// SimNetwork::plan_message; per-peer state lives in a vector sorted by
+// SimNetwork::plan_message; per-peer state lives in vectors sorted by
 // id so every iteration is ordered. Scheduled callbacks never capture the
 // detector itself — they re-resolve it through the overlay's registry at
 // fire time, so a stopped (crashed) node's pending events become inert
 // no-ops.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/event_loop.hpp"
@@ -125,6 +124,8 @@ class FailureDetector {
   /// The overlay's leaf-set repair consults this to keep a declared-dead
   /// (but possibly still live) peer from being re-inserted.
   [[nodiscard]] bool has_declared_dead(NodeId id) const;
+  /// Peers this node currently holds a death verdict about.
+  [[nodiscard]] std::size_t death_verdicts() const { return death_verdicts_; }
 
   // --- peer-side handlers (invoked via scheduled events) -----------------
 
@@ -134,10 +135,8 @@ class FailureDetector {
   bool on_probe_request(NodeId from, std::uint64_t from_boot);
   /// The ack for probe `seq` of `target` arrived (with its boot).
   void on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot);
-  /// Probe `seq` of `target` has been outstanding for probe_timeout.
-  void on_probe_timeout(NodeId target, std::uint64_t seq);
   /// The current round's probes have been outstanding for probe_timeout:
-  /// on_probe_timeout for each, in probe order.
+  /// each one still unacked is a miss, in probe order.
   void on_round_timeout();
   /// An indirect confirmation round for `target` resolved.
   void on_confirmation(NodeId target, std::uint64_t generation, bool reached);
@@ -164,20 +163,26 @@ class FailureDetector {
     std::uint64_t generation = 0;
   };
 
-  /// One direct probe of the current round, and the seq it was sent with.
+  /// One direct probe of the current round: the probed peer's index in
+  /// the peer table, fixed when the round starts, and the probe's seq.
   struct RoundProbe {
-    NodeId target;
+    std::size_t peer = 0;
     std::uint64_t seq = 0;
   };
+  static constexpr std::size_t kNoPeer = static_cast<std::size_t>(-1);
 
-  /// The state kept for `id`, or nullptr when there is none.
-  [[nodiscard]] PeerState* find_peer(NodeId id);
-  [[nodiscard]] const PeerState* find_peer(NodeId id) const;
+  /// The peer-table index of `id`, or kNoPeer when no state is kept.
+  [[nodiscard]] std::size_t find_peer(NodeId id) const;
+  /// The peer-table index of `id`, inserting fresh state when missing.
+  std::size_t find_or_add_peer(NodeId id);
 
   void schedule_tick();
-  /// Send one direct probe; returns its seq. The miss check is the
-  /// round's (see tick()).
-  std::uint64_t probe(NodeId target);
+  /// Send one direct probe to the peer at table index `peer`; returns its
+  /// seq. The miss check is the round's (see tick()).
+  std::uint64_t probe(std::size_t peer);
+  /// Probe `seq` of the peer at `peer` has been outstanding for
+  /// probe_timeout: a miss unless it was acked.
+  void on_probe_timeout(std::size_t peer, std::uint64_t seq);
   void start_confirmation_round(NodeId target, std::uint64_t generation);
   void declare_dead(NodeId target, PeerState& state);
   /// Record a detector lifecycle moment (suspect/refute/declare/reinstate/
@@ -201,9 +206,16 @@ class FailureDetector {
   bool running_ = false;
   /// Last virtual time any peer acked a direct probe (isolation guard).
   SimDuration last_ack_time_{};
-  /// Per-peer state sorted by id. Only probe() inserts and only
-  /// prune_state() erases, so a PeerState& is never held across either.
-  std::vector<std::pair<NodeId, PeerState>> peers_;
+  /// The peer table: ids sorted ascending, and each id's state at the same
+  /// index. Searches walk the flat id array alone. Only tick() changes the
+  /// table (prune_state() erases, then find_or_add_peer() inserts) and
+  /// nothing holds a PeerState& or an index across a tick, except round_,
+  /// whose indices tick() fixes once the table is final.
+  std::vector<NodeId> peer_ids_;
+  std::vector<PeerState> peer_states_;
+  /// Entries of peer_states_ with status kDead. While it is zero, an
+  /// incoming probe cannot heal a verdict and skips the table search.
+  std::size_t death_verdicts_ = 0;
   /// The current round's probes, checked by its single miss timer. Reused
   /// across rounds, so steady-state ticks do not allocate for it.
   std::vector<RoundProbe> round_;

@@ -3,7 +3,10 @@
 // suspicion that is refuted (no false declarations, no data loss, no
 // duplicate replicas); an isolated node quarantines its own verdicts
 // instead of declaring the whole ring dead; false declarations heal by
-// boot-verified reinstatement; same-seed runs are byte-identical.
+// boot-verified reinstatement; same-seed runs are byte-identical. The
+// detector's fast paths (round indices fixed at the tick, acks found by
+// id, the reinstatement check skipped while no verdict is held) are
+// pinned on bare overlays where the timing can be forced.
 
 #include <gtest/gtest.h>
 
@@ -284,6 +287,7 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   loop.run_until_time(t0 + SimDuration::seconds(2));
   ASSERT_TRUE(detector.has_declared_dead(suspect));
   ASSERT_EQ(detector.stats().declared_dead, 1u);
+  EXPECT_EQ(detector.death_verdicts(), 1u);
   ASSERT_FALSE(overlay.leaf_set(observer).contains(suspect));
   ASSERT_TRUE(overlay.is_live(suspect));
 
@@ -304,7 +308,113 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   loop.run_until_time(t0 + SimDuration::seconds(7));
   EXPECT_FALSE(detector.has_declared_dead(suspect));
   EXPECT_FALSE(detector.is_suspected(suspect));
+  EXPECT_EQ(detector.death_verdicts(), 0u);  // the prune dropped the verdict
   detector.stop();
+}
+
+/// A bare overlay of `n` nodes, each running its own detector.
+struct DetectorRing {
+  SimClock clock;
+  EventLoop loop{&clock, 83};
+  net::SimNetwork network{{}, &clock};
+  pastry::PastryOverlay overlay{{}, &network};
+  std::vector<pastry::NodeId> ids;
+  std::vector<std::unique_ptr<pastry::FailureDetector>> detectors;
+
+  DetectorRing(std::size_t n, pastry::FailureDetectorConfig config) : config_(config) {
+    network.set_event_loop(&loop);
+    Rng rng(84);
+    for (std::size_t i = 0; i < n; ++i) add(rng.next_id());
+  }
+  void add(pastry::NodeId id) {
+    const std::uint64_t boot = 100 + ids.size();
+    ids.push_back(id);
+    overlay.join(id, network.add_host());
+    detectors.push_back(std::make_unique<pastry::FailureDetector>(
+        config_, &overlay, &network, &loop, id, overlay.host_of(id), boot));
+    detectors.back()->start();
+  }
+  ~DetectorRing() {
+    for (auto& d : detectors) d->stop();
+  }
+
+ private:
+  pastry::FailureDetectorConfig config_;
+};
+
+/// Every message pays a 60 ms spike, so each ack lands about 120 ms after
+/// its probe: after the round's miss timer (50 ms) and after the next
+/// tick (100-115 ms), which has already sent a newer probe. Mid-run a node
+/// joins with the lowest id, so every peer's table index shifts by one
+/// between a probe and its ack. With a threshold of two misses, one ack
+/// credited to the wrong peer, or one round checked at a stale index,
+/// tips some peer into suspicion; crediting each late ack by id keeps every
+/// peer's misses alternating between one and zero.
+TEST(FailureDetector, AckDelayedPastTheNextTickUpdatesTheRightPeer) {
+  pastry::FailureDetectorConfig config;
+  config.suspicion_threshold = 2;
+  DetectorRing ring(6, config);
+  ring.network.set_fault_plan(std::make_unique<net::FaultPlan>(
+      net::FaultPlanConfig{85, 0.0, 1.0, SimDuration::millis(60)}));
+
+  const SimDuration t0 = ring.clock.now();
+  ring.loop.run_until_time(t0 + SimDuration::seconds(1));
+  ring.add(pastry::NodeId(0, 1));  // sorts first in every table
+  ring.loop.run_until_time(t0 + SimDuration::seconds(3));
+
+  for (std::size_t i = 0; i < ring.detectors.size(); ++i) {
+    const auto& stats = ring.detectors[i]->stats();
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_GT(stats.acks_received, 0u);
+    EXPECT_GT(stats.probe_misses, 0u);  // every round times out first
+    EXPECT_EQ(stats.suspicions, 0u);
+    EXPECT_EQ(stats.declared_dead, 0u);
+  }
+  // The newcomer was probed and acked by the old members.
+  EXPECT_GT(ring.detectors.back()->stats().probes_sent, 0u);
+  EXPECT_FALSE(ring.detectors[0]->is_suspected(ring.ids.back()));
+}
+
+/// A verdict about a browned-out peer is kept across tick after tick of
+/// pruning, though the peer has left the observer's leaf set. When the
+/// brownout ends, the peer's own probe carries the boot the observer
+/// recorded, and that one probe reinstates it; the verdict count goes
+/// back to zero.
+TEST(FailureDetector, VerdictKeptAcrossPruningReinstatesOnABootMatchingProbe) {
+  DetectorRing ring(6, {});
+  const pastry::NodeId suspect = ring.ids[1];
+  pastry::FailureDetector& observer = *ring.detectors[0];
+  ASSERT_TRUE(ring.overlay.leaf_set(ring.ids[0]).contains(suspect));
+
+  // Let the observer hear the suspect's boot before the brownout.
+  const SimDuration t0 = ring.clock.now() + SimDuration::millis(500);
+  auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{86, 0.0, 0.0, {}});
+  plan->add_brownout(ring.overlay.host_of(suspect), t0, t0 + SimDuration::seconds(3));
+  ring.network.set_fault_plan(std::move(plan));
+
+  ring.loop.run_until_time(t0 + SimDuration::seconds(2));
+  ASSERT_TRUE(observer.has_declared_dead(suspect));
+  EXPECT_EQ(observer.death_verdicts(), 1u);
+  EXPECT_FALSE(ring.overlay.leaf_set(ring.ids[0]).contains(suspect));
+  // An id the table never held, sorting just below the suspect's, has no
+  // verdict of its own.
+  EXPECT_FALSE(observer.has_declared_dead(pastry::NodeId(suspect.hi, suspect.lo - 1)));
+  const std::uint64_t probes_before = observer.stats().probes_sent;
+
+  // Ten more ticks of pruning: the verdict stands.
+  ring.loop.run_until_time(t0 + SimDuration::millis(2950));
+  EXPECT_GT(observer.stats().probes_sent, probes_before);
+  EXPECT_TRUE(observer.has_declared_dead(suspect));
+  EXPECT_EQ(observer.death_verdicts(), 1u);
+  EXPECT_EQ(observer.stats().reinstated, 0u);
+
+  // The brownout ends; the suspect's next probe heals the verdict.
+  ring.loop.run_until_time(t0 + SimDuration::seconds(4));
+  EXPECT_FALSE(observer.has_declared_dead(suspect));
+  EXPECT_EQ(observer.stats().reinstated, 1u);
+  EXPECT_EQ(observer.death_verdicts(), 0u);
+  EXPECT_TRUE(ring.overlay.leaf_set(ring.ids[0]).contains(suspect));
+  for (const auto& d : ring.detectors) EXPECT_EQ(d->death_verdicts(), 0u);
 }
 
 TEST(FailureDetector, RejectsProbeTimeoutNotBelowPeriod) {
