@@ -60,10 +60,9 @@ void add_arm_rows(kosha::TextTable& table, const char* arm,
                  std::to_string(r.ops_ok) + " / " + std::to_string(r.ops_failed)});
   table.add_row({arm, "timeouts/retries",
                  std::to_string(r.timeouts) + " / " + std::to_string(r.retries)});
-  table.add_row({arm, "rejected inflight/deadline, expired, shed-bg",
+  table.add_row({arm, "rejected inflight/deadline, expired",
                  std::to_string(r.admission_rejected) + " / " +
-                     std::to_string(r.deadline_rejected) + ", " + std::to_string(r.expired) +
-                     ", " + std::to_string(r.shed_low_priority)});
+                     std::to_string(r.deadline_rejected) + ", " + std::to_string(r.expired)});
   table.add_row({arm, "overloaded replies / budget exhausted",
                  std::to_string(r.overloaded_replies) + " / " +
                      std::to_string(r.budget_exhausted)});
@@ -90,7 +89,6 @@ void emit_arm_json(std::ostringstream& json, const char* arm,
        << "  \"" << arm << ".admission_rejected\": " << r.admission_rejected << ",\n"
        << "  \"" << arm << ".deadline_rejected\": " << r.deadline_rejected << ",\n"
        << "  \"" << arm << ".expired\": " << r.expired << ",\n"
-       << "  \"" << arm << ".shed_low_priority\": " << r.shed_low_priority << ",\n"
        << "  \"" << arm << ".overloaded_replies\": " << r.overloaded_replies << ",\n"
        << "  \"" << arm << ".budget_exhausted\": " << r.budget_exhausted << ",\n"
        << "  \"" << arm << ".breaker_opens\": " << r.breaker_opens << ",\n"

@@ -28,8 +28,7 @@ KoshaCluster::KoshaCluster(ClusterConfig config)
   if (config_.kosha.overload.enabled) {
     // Arm the network's per-host admission bounds; client-side controls
     // (budget, breakers) are armed per daemon in Koshad's constructor.
-    network_.set_admission({config_.kosha.overload.max_inflight,
-                            config_.kosha.overload.low_priority_inflight()});
+    network_.set_admission({config_.kosha.overload.max_inflight});
   }
   runtime_.clock = &clock_;
   runtime_.network = &network_;
@@ -362,8 +361,6 @@ void KoshaCluster::refresh_derived_metrics() {
     metrics_.gauge("overload.deadline_rejected")
         ->set(static_cast<double>(net.deadline_rejected));
     metrics_.gauge("overload.expired")->set(static_cast<double>(net.expired));
-    metrics_.gauge("overload.shed_low_priority")
-        ->set(static_cast<double>(net.shed_low_priority));
     nfs::OverloadClientStats oc;
     std::uint64_t server_deadline_rejects = 0;
     std::uint64_t ladder_aborts = 0;

@@ -10,7 +10,7 @@ namespace kosha {
 
 RepairDaemon::RepairDaemon(RepairDaemonConfig config, Runtime* runtime, net::HostId host)
     : config_(config), runtime_(runtime), host_(host) {
-  assert(runtime_ != nullptr && runtime_->network->loop() != nullptr);
+  assert(runtime_ != nullptr);
 }
 
 void RepairDaemon::start() {

@@ -10,7 +10,7 @@
 namespace kosha::net {
 
 SimNetwork::SimNetwork(NetworkConfig config, SimClock* clock)
-    : config_(config), clock_(clock) {
+    : config_(config), clock_(clock), own_loop_(clock) {
   assert(clock_ != nullptr);
 }
 
@@ -32,27 +32,6 @@ void SimNetwork::charge_rtt(HostId src, HostId dst, std::size_t payload_bytes) {
   charge_message(dst, src, 0);
 }
 
-bool SimNetwork::try_message(HostId src, HostId dst, std::size_t payload_bytes) {
-  if (fault_plan_ != nullptr) {
-    switch (fault_plan_->judge(src, dst, clock_->now())) {
-      case FaultPlan::Delivery::kDeliver:
-        break;
-      case FaultPlan::Delivery::kDrop:
-      case FaultPlan::Delivery::kBrownout:
-        ++stats_.drops;
-        return false;
-      case FaultPlan::Delivery::kPartitioned:
-        ++stats_.partitioned;
-        return false;
-    }
-    charge_message(src, dst, payload_bytes);
-    if (src != dst) clock_->advance(fault_plan_->draw_spike());
-    return true;
-  }
-  charge_message(src, dst, payload_bytes);
-  return true;
-}
-
 void SimNetwork::charge_overlay_hop(HostId src, HostId dst) {
   if (src != dst) ++stats_.overlay_hops;
   charge_message(src, dst, 0);
@@ -65,10 +44,6 @@ void SimNetwork::charge_timeout() {
 
 SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
                                               std::size_t payload_bytes, SimDuration at) {
-  // Mirrors try_message byte-for-byte on the counters and the Rng stream
-  // (judge, then one spike draw per delivered non-local message) so a
-  // single-in-flight event-driven schedule replays the loop-less serial
-  // path's numbers exactly.
   SimDuration spike{};
   if (fault_plan_ != nullptr) {
     switch (fault_plan_->judge(src, dst, at)) {
@@ -92,19 +67,10 @@ SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
   return {true, at + wire + spike};
 }
 
-SimNetwork::Admit SimNetwork::admit(HostId host, SimDuration arrival, SimDuration deadline,
-                                    bool low_priority) {
+SimNetwork::Admit SimNetwork::admit(HostId host, SimDuration arrival, SimDuration deadline) {
   if (admission_.max_inflight == 0) return Admit::kAdmit;
-  const unsigned bound = (low_priority && admission_.low_priority_inflight > 0)
-                             ? admission_.low_priority_inflight
-                             : admission_.max_inflight;
-  const int current = inflight(host);
-  if (current >= static_cast<int>(bound)) {
-    if (low_priority) {
-      ++stats_.shed_low_priority;
-    } else {
-      ++stats_.admission_rejected;
-    }
+  if (inflight(host) >= static_cast<int>(admission_.max_inflight)) {
+    ++stats_.admission_rejected;
     return Admit::kRejectInflight;
   }
   if (deadline.ns > 0) {

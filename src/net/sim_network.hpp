@@ -9,20 +9,28 @@
 // dead host costs a timeout. All costs accrue on a shared SimClock, and
 // message/hop counters feed the analytic-model comparison in §6.1.2.
 //
+// Every network carries an event loop over its clock: its own, unless a
+// caller that schedules other work on a shared loop (KoshaCluster, the
+// benchmark's ladder) installs that one with set_event_loop(). NfsClient
+// runs every RPC as events on it, so the baseline NFS comparator and the
+// Kosha daemons share one RPC model.
+//
 // An optional FaultPlan (net/fault_plan.hpp) enriches the binary up/down
 // model with message drops, host brownouts, partitions, and latency
-// spikes; senders that can observe loss route through try_message().
+// spikes; senders that can observe loss plan each message through
+// plan_message().
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/event_loop.hpp"
 #include "common/sim_clock.hpp"
 #include "net/fault_plan.hpp"
 
 namespace kosha {
-class EventLoop;
 class Gauge;
 class Histogram;
 class MetricsRegistry;
@@ -78,8 +86,7 @@ struct NetStats {
   /// Messages blocked by an active partition window.
   std::uint64_t partitioned = 0;
   /// Total virtual time requests spent queued behind earlier requests at
-  /// their destination's service queue (with an event loop attached only —
-  /// the loop-less serial path admits every request instantly).
+  /// their destination's service queue.
   std::uint64_t queue_delay_ns = 0;
   /// Highest number of simultaneously in-flight (arrived, not yet
   /// completed) RPCs observed at any single host.
@@ -93,9 +100,6 @@ struct NetStats {
   /// Requests dropped at the service instant: their deadline had passed
   /// while they queued (dead work refused instead of executed).
   std::uint64_t expired = 0;
-  /// Background (low-priority) arrivals shed at the tighter background
-  /// bound while foreground traffic still fit.
-  std::uint64_t shed_low_priority = 0;
   /// Per-procedure breakdown of client RPC traffic (a slice of the
   /// aggregates above; overlay/replication traffic has no procedure).
   std::array<ProcNetStats, kNetProcSlots> per_proc{};
@@ -121,25 +125,21 @@ class SimNetwork {
   /// Local delivery (src == dst) is free.
   void charge_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
 
-  /// Attempt delivery of one message under the installed fault plan.
-  /// Returns true and charges latency (plus any spike) on delivery;
-  /// returns false without charging when the message is lost (dropped,
-  /// browned out, or partitioned) — the caller decides what loss costs
-  /// (an RPC client charges its timeout). Without a plan this is
-  /// charge_message().
-  bool try_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
-
   /// Install (or clear, with nullptr) the fault plan.
   void set_fault_plan(std::unique_ptr<FaultPlan> plan) { fault_plan_ = std::move(plan); }
   [[nodiscard]] FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
   // --- event-driven delivery (completion-based RPC path) ------------------
 
-  /// Attach the discrete-event scheduler. Non-null switches NfsClient's
-  /// synchronous API onto the completion-based core; null (the default)
-  /// keeps the serial call-and-advance path, which the baseline NFS
-  /// comparator uses. KoshaCluster always attaches its loop.
-  void set_event_loop(EventLoop* loop) { loop_ = loop; }
+  /// Replace the network's own event loop with `loop` (non-null, over the
+  /// same clock), for callers that schedule their own work beside the
+  /// RPCs: KoshaCluster installs its loop, so heartbeats, repair ticks and
+  /// every daemon's RPCs share one queue.
+  void set_event_loop(EventLoop* loop) {
+    assert(loop != nullptr && &loop->clock() == clock_);
+    loop_ = loop;
+  }
+  /// The loop NfsClient runs its RPCs on; never null.
   [[nodiscard]] EventLoop* loop() const { return loop_; }
 
   /// Verdict of plan_message: whether the wire delivers, and when.
@@ -149,12 +149,11 @@ class SimNetwork {
   };
 
   /// Plan one one-way message sent at `at` without touching the clock:
-  /// judge it under the fault plan (same Rng draw order as try_message —
-  /// one drop draw per judged message, one spike draw per delivered
-  /// non-local message) and compute the arrival time from latency plus
-  /// per-byte cost plus any spike. Counters update exactly as
-  /// try_message's would; the caller turns `arrival` into a delivery
-  /// event instead of advancing the clock.
+  /// judge it under the fault plan (one drop draw per judged message, one
+  /// spike draw per delivered non-local message) and compute the arrival
+  /// time from latency plus per-byte cost plus any spike. A delivered
+  /// message counts in `messages`/`bytes`; a lost one in `drops` or
+  /// `partitioned`. The caller turns `arrival` into a delivery event.
   [[nodiscard]] WirePlan plan_message(HostId src, HostId dst, std::size_t payload_bytes,
                                       SimDuration at);
 
@@ -166,9 +165,6 @@ class SimNetwork {
   /// leaving all overload counters untouched.
   struct AdmissionControl {
     unsigned max_inflight = 0;
-    /// Tighter bound for background (low-priority) traffic; 0 = use
-    /// max_inflight for every class.
-    unsigned low_priority_inflight = 0;
   };
   void set_admission(AdmissionControl admission) { admission_ = admission; }
   [[nodiscard]] const AdmissionControl& admission() const { return admission_; }
@@ -176,19 +172,16 @@ class SimNetwork {
   /// Admission verdict for one arrival.
   enum class Admit {
     kAdmit,           // queue it
-    kRejectInflight,  // destination at its in-flight bound (or the
-                      // background bound, for low-priority traffic)
+    kRejectInflight,  // destination at its in-flight bound
     kRejectDeadline,  // even immediate head-of-queue service would begin
                       // after the request's propagated deadline
   };
 
   /// Judge one arrival at `host` against the installed admission bounds.
-  /// `deadline` is the request's absolute give-up time (0 = none);
-  /// `low_priority` marks background traffic (repair, anti-entropy) that
-  /// sheds at the tighter bound. Pure with respect to clock and Rng —
-  /// only the overload rejection counters move, and only on rejection.
-  [[nodiscard]] Admit admit(HostId host, SimDuration arrival, SimDuration deadline,
-                            bool low_priority);
+  /// `deadline` is the request's absolute give-up time (0 = none). Pure
+  /// with respect to clock and Rng — only the overload rejection counters
+  /// move, and only on rejection.
+  [[nodiscard]] Admit admit(HostId host, SimDuration arrival, SimDuration deadline);
 
   /// Count one request dropped at its service instant because its deadline
   /// passed while it queued (the event-driven execute step refuses the
@@ -292,13 +285,16 @@ class SimNetwork {
   MetricsRegistry* metrics_ = nullptr;
   Tracer* tracer_ = nullptr;
   SimProfiler* profiler_ = nullptr;
-  EventLoop* loop_ = nullptr;
+  EventLoop* loop_ = &own_loop_;
   /// Per-host single-server FIFO queues: when each host's service slot
-  /// frees up. Only the event-driven path reads or writes these.
+  /// frees up, set by every RPC's execute step.
   std::vector<SimDuration> busy_until_;
   std::vector<int> inflight_;
   std::vector<HostObs> host_obs_;
   AdmissionControl admission_;
+  /// The loop loop_ points at until set_event_loop replaces it. Last, so
+  /// the hot members above stay together.
+  EventLoop own_loop_;
 };
 
 }  // namespace kosha::net

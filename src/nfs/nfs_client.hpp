@@ -3,8 +3,12 @@
 // NFS client: issues RPCs to servers across the simulated network.
 //
 // Destination selection uses the server id embedded in the (opaque) handle.
-// Every call charges request and reply messages on the network. Two
-// failure regimes are distinguished:
+// Every RPC runs as events on the network's event loop (call_async); the
+// synchronous API submits one call and drives the loop until it completes.
+// RPCs are foreground work only: the clock must not be paused while one
+// runs. Background work (mirror fan-out, repair, migration) reaches remote
+// stores directly and pays with SimNetwork::charge_message. Two failure
+// regimes are distinguished:
 //   * hard-down — the host is marked dead (or its server was erased from
 //     the directory, e.g. retirement): one timeout, kUnreachable, no
 //     retries. This is the error Kosha's transparent fault handling reacts
@@ -12,6 +16,8 @@
 //   * transient — the fault plan lost a message (drop/brownout/partition):
 //     the client times out, backs off on the virtual clock, and
 //     retransmits under the *same* xid up to RetryPolicy::max_attempts.
+//     With overload control on, every retransmission spends one token of
+//     the retry budget and every lost attempt counts as a breaker failure.
 //     Non-idempotent retransmissions are made safe by the server's
 //     duplicate-request cache (see nfs_server.hpp).
 //
@@ -21,12 +27,12 @@
 // may have executed with its reply lost — re-issuing a non-idempotent op
 // requires adopting an already-applied result; see koshad's ladder).
 //
-// A third regime exists when RetryPolicy::response_timeout > 0 (with an
-// event loop attached only): a *delivered* request whose reply has not come
-// back within the timeout is abandoned and retransmitted. The abandoned
-// copy keeps queueing and executing server-side — that dead work is the
-// raw material of metastable congestive collapse, which is why abandonment
-// is only ever paired with the overload controls configured through
+// A third regime exists when RetryPolicy::response_timeout > 0: a
+// *delivered* request whose reply has not come back within the timeout is
+// abandoned and retransmitted. The abandoned copy keeps queueing and
+// executing server-side — that dead work is the raw material of
+// metastable congestive collapse, which is why abandonment is only ever
+// paired with the overload controls configured through
 // configure_overload(): a token-bucket retry budget bounds retransmission
 // amplification, a per-server circuit breaker stops offering load to a
 // host that keeps failing, and kOverloaded admission rejections back off
@@ -114,9 +120,8 @@ class NfsClient {
   /// backoff — is a scheduled event on the network's event loop, so other
   /// work interleaves with this RPC in virtual time. `done` fires from the
   /// loop with the final result (the reply, or kTimedOut/kUnreachable once
-  /// retries are exhausted). With a loop attached the synchronous API is a
-  /// thin wrapper that drives the loop until its own completion fires.
-  /// Requires `network()->loop() != nullptr`.
+  /// retries are exhausted). The synchronous API is a thin wrapper that
+  /// drives the loop until its own completion fires.
   template <typename ReplyT, typename Invoke, typename ReplyBytes>
   void call_async(std::size_t proc_slot, net::HostId server, std::size_t request_bytes,
                   Invoke invoke, ReplyBytes reply_bytes,
@@ -157,35 +162,13 @@ class NfsClient {
   [[nodiscard]] NfsResult<FsstatReply> fsstat(net::HostId server);
 
  private:
-  /// What happened to one request transmission.
-  enum class SendOutcome {
-    kSent,      // delivered; *out points at the server
-    kLost,      // lost in transit (fault plan): worth retrying
-    kHardDown,  // server dead or absent: fail fast, no retries
-  };
-
-  SendOutcome send_request(net::HostId server, std::size_t request_bytes, NfsServer** out);
-  [[nodiscard]] bool deliver_reply(net::HostId server, std::size_t reply_bytes);
-  /// Exponential backoff (with jitter) before retry `attempt`; consumes
-  /// one jitter draw. The loop-less serial path (baseline NFS, paused
-  /// background work) charges it on the clock; call_async turns it into a
-  /// timer event.
-  [[nodiscard]] SimDuration backoff_duration(unsigned attempt);
-  /// Charge the exponential backoff (with jitter) before retry `attempt`.
-  void backoff(unsigned attempt);
-
-  /// Run one RPC through the full retry state machine. `invoke` performs
-  /// the server-side procedure; `reply_bytes` sizes the reply message for
-  /// the returned value. Wraps transact_impl with a per-procedure span and
+  /// Run one RPC through call_async and drive the loop until it completes.
+  /// `invoke` performs the server-side procedure; `reply_bytes` sizes the
+  /// reply message for the returned value. Adds a per-procedure span and
   /// latency/outcome metrics when observability is on.
   template <typename ReplyT, typename Invoke, typename ReplyBytes>
   NfsResult<ReplyT> transact(NfsProc proc, net::HostId server, std::size_t request_bytes,
                              Invoke&& invoke, ReplyBytes&& reply_bytes);
-
-  template <typename ReplyT, typename Invoke, typename ReplyBytes>
-  NfsResult<ReplyT> transact_impl(std::size_t proc_slot, net::HostId server,
-                                  std::size_t request_bytes, Invoke&& invoke,
-                                  ReplyBytes&& reply_bytes);
 
   /// Lazily-resolved instruments for one procedure (null when metrics off).
   struct ProcMetrics {
@@ -240,11 +223,10 @@ class NfsClient {
 // call_async — the event-driven RPC state machine
 // ---------------------------------------------------------------------------
 // One heap-allocated Call per RPC, kept alive by the events it schedules.
-// The timeline replays the serial retry loop exactly when nothing else is
-// in flight: the fault plan judges each message at the same virtual
-// instants, the jitter stream is drawn in the same order, and every
-// NetStats counter moves identically — so a single-in-flight run charges
-// the same numbers with or without a loop attached.
+// Without response_timeout ("untimed mode") at most one chain is live: a
+// lost request, rejection or reply, or a server that died while the
+// request queued, costs one rpc_timeout, after which fail_attempt() counts
+// a breaker failure and budgeted_retry() decides whether to retransmit.
 //
 // With response_timeout > 0 ("timed mode") the machine grows a second
 // track: every transmission arms an abandonment timer, and a request's
@@ -272,15 +254,15 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
     ReplyBytes reply_bytes;
     std::function<void(NfsResult<ReplyT>)> done;
     unsigned attempt = 0;
-    /// Whether any request was delivered (see transact_impl): decides
-    /// kTimedOut vs kUnreachable when attempts run out. In timed mode a
-    /// delivered request counts immediately — the queued copy may still
-    /// execute after the attempt is abandoned, so "delivered" is the only
-    /// safe proxy for "may have executed".
+    /// Whether any request was delivered (and so may have executed):
+    /// decides kTimedOut vs kUnreachable when attempts run out. In timed
+    /// mode a delivered request counts immediately — the queued copy may
+    /// still execute after the attempt is abandoned, so "delivered" is the
+    /// only safe proxy for "may have executed".
     bool executed = false;
     /// Completion latch (timed mode): a stale chain's late reply must not
-    /// complete the op twice. Never set before completion on the legacy
-    /// wait-forever path, where only one chain ever exists.
+    /// complete the op twice. Never set before completion in untimed
+    /// mode, where only one chain ever exists.
     bool finished = false;
     /// Pending abandonment timer (timed mode only), cancelled when the op
     /// completes first.
@@ -319,11 +301,12 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
 
     void give_up() { complete(executed ? NfsStat::kTimedOut : NfsStat::kUnreachable); }
 
-    /// Retransmission decision shared by abandonment and kOverloaded
-    /// rejections (timed mode): pay for the retry out of the budget, back
-    /// off, and re-enter start() — or fail fast when attempts or tokens
-    /// run out. `give_up_status` is the certainly-not-executed verdict;
-    /// a delivered request always degrades it to kTimedOut.
+    /// Retransmission decision shared by every failed attempt (a lost or
+    /// abandoned one, or a kOverloaded rejection): pay for the retry out
+    /// of the budget, back off, and re-enter start() — or fail fast when
+    /// attempts or tokens run out. `give_up_status` is the
+    /// certainly-not-executed verdict; a delivered request always degrades
+    /// it to kTimedOut.
     void budgeted_retry(NfsStat give_up_status) {
       if (attempt + 1 >= std::max(1u, c->retry_.max_attempts)) {
         complete(executed ? NfsStat::kTimedOut : give_up_status);
@@ -336,7 +319,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
         return;
       }
       c->network_->count_retry(slot);
-      const SimDuration wait = c->backoff_duration(attempt);
+      const SimDuration wait = c->retry_.jittered_backoff(attempt, c->jitter_rng_);
       ++attempt;
       const SimDuration now = loop->now();
       emit_wait_span("rpc.backoff", c->self_, now, now + wait);
@@ -352,7 +335,13 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
       c->network_->note_proc_timeout(slot);
       const SimDuration now = loop->now();
       emit_wait_span("rpc.timeout", c->self_, now - c->retry_.response_timeout, now);
-      if (CircuitBreaker* b = c->breaker_for(server)) b->on_failure(now);
+      fail_attempt();
+    }
+
+    /// The current attempt failed without a reply: one breaker failure,
+    /// then the budgeted retry decision.
+    void fail_attempt() {
+      if (CircuitBreaker* b = c->breaker_for(server)) b->on_failure(loop->now());
       budgeted_retry(NfsStat::kUnreachable);
     }
 
@@ -368,34 +357,14 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
                            [self, next] { ((*self).*next)(); });
     }
 
-    void retry_or_fail() {
-      if (attempt + 1 >= std::max(1u, c->retry_.max_attempts)) {
-        give_up();
-        return;
-      }
-      c->network_->count_retry(slot);
-      const SimDuration wait = c->backoff_duration(attempt);
-      ++attempt;
-      const SimDuration now = loop->now();
-      emit_wait_span("rpc.backoff", c->self_, now, now + wait);
-      auto self = this->shared_from_this();
-      loop->schedule_after(wait, "rpc.backoff", [self] { self->start(); });
-    }
-
     /// One transmission attempt (retransmissions re-enter here under the
     /// same xid — the invoke closure carries it).
     void start() {
       NfsServer* s = c->directory_->find(server);
       if (s == nullptr || !c->network_->is_up(server)) {
-        // Permanent death: one timeout, no retries (see transact_impl).
-        c->network_->note_timeout();
-        c->network_->note_proc_timeout(slot);
-        const SimDuration now = loop->now();
-        emit_wait_span("rpc.timeout", c->self_, now,
-                       now + c->network_->config().rpc_timeout);
-        auto self = this->shared_from_this();
-        loop->schedule_after(c->network_->config().rpc_timeout, "rpc.timeout",
-                             [self] { self->give_up(); });
+        // Permanent death is detected in one timeout and never retried:
+        // failover (not retransmission) is the right reaction.
+        timeout_then(&Call::give_up);
         return;
       }
       if (CircuitBreaker* b = c->breaker_for(server); b != nullptr && !b->allow(loop->now())) {
@@ -428,7 +397,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
         return;
       }
       if (!plan.delivered) {
-        timeout_then(&Call::retry_or_fail);
+        timeout_then(&Call::fail_attempt);
         return;
       }
       c->network_->note_proc_message(slot, request_bytes);
@@ -440,11 +409,11 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
     /// The request reached the server: pass admission control, then queue
     /// behind whatever it is already serving (this wait is the measured
     /// `net.queue_delay`). `dl` is this transmission's abandonment
-    /// deadline (zero in legacy mode); `born` the attempt that sent it.
+    /// deadline (zero in untimed mode); `born` the attempt that sent it.
     void arrive(SimDuration dl, unsigned born) {
       const SimDuration arrival = loop->now();
       if (c->overload_.enabled) {
-        if (c->network_->admit(server, arrival, dl, false) != net::SimNetwork::Admit::kAdmit) {
+        if (c->network_->admit(server, arrival, dl) != net::SimNetwork::Admit::kAdmit) {
           // Bounced at the door: a rejection costs one cheap reply
           // message instead of queue occupancy and service time.
           emit_wait_span("server.shed", server, arrival, arrival);
@@ -457,10 +426,10 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
               self->handle_result(NfsStat::kOverloaded, born);
             });
           } else if (!timed()) {
-            // Legacy mode has no abandonment timer to fall back on, and
+            // Untimed mode has no abandonment timer to fall back on, and
             // never more than one live chain: treat the lost rejection
             // like any lost reply.
-            timeout_then(&Call::retry_or_fail);
+            timeout_then(&Call::fail_attempt);
           }
           return;
         }
@@ -480,7 +449,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
         c->network_->note_inflight(server, -1);
         executed = true;
         if (timed()) return;  // the abandonment timer owns the retry
-        timeout_then(&Call::retry_or_fail);
+        timeout_then(&Call::fail_attempt);
         return;
       }
       if (c->overload_.enabled && dl.ns > 0 && loop->now() > dl) {
@@ -518,7 +487,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
         // Reply lost: the op may have executed — the retransmission
         // reuses the xid so the server's DRC returns this very reply.
         if (timed()) return;  // the abandonment timer owns the retry
-        timeout_then(&Call::retry_or_fail);
+        timeout_then(&Call::fail_attempt);
         return;
       }
       c->network_->note_proc_message(slot, rb);

@@ -97,10 +97,6 @@ struct OverloadControlConfig {
   /// RPCs. Arrivals beyond it are bounced with kOverloaded instead of
   /// queuing — a rejection costs one cheap reply message, not service time.
   unsigned max_inflight = 32;
-  /// Background (low-priority) traffic sheds earlier: it is bounced once a
-  /// host's in-flight count reaches this fraction of max_inflight, keeping
-  /// headroom for client RPCs (anti-entropy yields to the foreground).
-  double low_priority_fraction = 0.5;
 
   /// Token-bucket retry budget per client: a retransmission spends one
   /// token, every *issued* operation earns `retry_budget_refill`. With a
@@ -126,12 +122,6 @@ struct OverloadControlConfig {
   /// least this many RPCs in flight (0 = never yield): repair tightens
   /// its own rate limit exactly when the foreground needs the capacity.
   unsigned repair_yield_inflight = 4;
-
-  /// Low-priority admission bound derived from the knobs above (>= 1).
-  [[nodiscard]] unsigned low_priority_inflight() const {
-    const double bound = static_cast<double>(max_inflight) * low_priority_fraction;
-    return std::max(1u, static_cast<unsigned>(bound));
-  }
 };
 
 /// Token bucket bounding retransmissions (client-side). Deterministic and

@@ -89,7 +89,6 @@ struct FlashCrowdConfig {
   nfs::OverloadControlConfig overload{
       .enabled = true,
       .max_inflight = 8,
-      .low_priority_fraction = 0.5,
       .retry_budget_cap = 8.0,
       .retry_budget_refill = 0.1,
       .breaker_threshold = 6,
@@ -133,7 +132,6 @@ struct FlashCrowdResult {
   std::uint64_t admission_rejected = 0;
   std::uint64_t deadline_rejected = 0;
   std::uint64_t expired = 0;
-  std::uint64_t shed_low_priority = 0;
   std::uint64_t inflight_peak = 0;
 
   // Client- and daemon-level counters, summed over nodes.

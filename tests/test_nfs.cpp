@@ -145,11 +145,28 @@ TEST(NfsClient, UnreachableHostTimesOut) {
   fx.network.set_up(fx.server_host, false);
   const auto before = fx.clock.now();
   EXPECT_EQ(fx.client.getattr(*root).error(), NfsStat::kUnreachable);
-  EXPECT_GE((fx.clock.now() - before).ns, fx.network.config().rpc_timeout.ns);
+  EXPECT_EQ((fx.clock.now() - before).ns, fx.network.config().rpc_timeout.ns);
   EXPECT_EQ(fx.network.stats().timeouts, 1u);
   // Recovery restores service.
   fx.network.set_up(fx.server_host, true);
   EXPECT_TRUE(fx.client.getattr(*root).ok());
+}
+
+TEST(NfsClient, RpcsRunOnTheNetworksOwnLoopOrTheInstalledOne) {
+  Fixture fx;
+  EventLoop* own = fx.network.loop();
+  ASSERT_NE(own, nullptr);
+  const auto root = fx.client.mount(fx.server_host);
+  ASSERT_TRUE(root.ok());
+  const std::uint64_t own_executed = own->stats().executed;
+  EXPECT_GT(own_executed, 0u);
+
+  EventLoop mine(&fx.clock, 3);
+  fx.network.set_event_loop(&mine);
+  EXPECT_EQ(fx.network.loop(), &mine);
+  ASSERT_TRUE(fx.client.getattr(*root).ok());
+  EXPECT_GT(mine.stats().executed, 0u);
+  EXPECT_EQ(own->stats().executed, own_executed);
 }
 
 TEST(NfsClient, UnknownServerUnreachable) {

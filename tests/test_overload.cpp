@@ -11,15 +11,18 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "kosha/repair.hpp"
 #include "net/sim_network.hpp"
+#include "nfs/nfs_client.hpp"
 #include "nfs/nfs_server.hpp"
 #include "nfs/retry_policy.hpp"
 #include "sim/concurrency_driver.hpp"
@@ -164,6 +167,46 @@ TEST(CircuitBreaker, FailedProbeReopensForAnotherCooldown) {
   EXPECT_TRUE(breaker.allow(SimDuration::millis(51)));
 }
 
+// --- untimed retransmissions ---------------------------------------------
+
+// Without a response timeout every lost attempt costs one rpc_timeout and
+// then takes the same step as an abandoned one: a breaker failure, then a
+// retransmission paid out of the retry budget.
+TEST(UntimedRetry, LostAttemptsSpendTheBudgetAndFeedTheBreaker) {
+  SimClock clock;
+  EventLoop loop(&clock, 1);
+  net::SimNetwork network({}, &clock);
+  network.set_event_loop(&loop);
+  const net::HostId client_host = network.add_host();
+  const net::HostId server_host = network.add_host();
+  nfs::NfsServer server(server_host, {}, {}, &clock);
+  nfs::ServerDirectory directory;
+  directory.add(&server);
+  nfs::RetryPolicy retry;
+  retry.max_attempts = 6;
+  nfs::NfsClient client(&network, &directory, client_host, retry);
+  nfs::OverloadControlConfig overload;
+  overload.enabled = true;
+  overload.retry_budget_cap = 1.0;
+  overload.retry_budget_refill = 0.01;
+  overload.breaker_threshold = 2;
+  client.configure_overload(overload);
+  net::FaultPlanConfig fault;
+  fault.drop_probability = 1.0;
+  network.set_fault_plan(std::make_unique<net::FaultPlan>(fault));
+
+  const auto attr = client.getattr(server.root_handle());
+  ASSERT_FALSE(attr.ok());
+  // The bucket's one token pays the first retransmission; the second
+  // finds it empty and the call sheds instead of retrying four more times.
+  EXPECT_EQ(attr.error(), nfs::NfsStat::kOverloaded);
+  EXPECT_EQ(network.stats().retries, 1u);
+  EXPECT_EQ(network.stats().timeouts, 2u);
+  const nfs::OverloadClientStats stats = client.overload_stats();
+  EXPECT_EQ(stats.budget_exhausted, 1u);
+  EXPECT_EQ(stats.breaker_opens, 1u) << "both lost attempts must count as breaker failures";
+}
+
 // --- network admission ---------------------------------------------------
 
 class AdmissionTest : public ::testing::Test {
@@ -174,44 +217,35 @@ class AdmissionTest : public ::testing::Test {
 
 TEST_F(AdmissionTest, DefaultAdmissionAdmitsEverythingAndMovesNoCounter) {
   network_.note_inflight(0, 100);
-  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration::nanos(1), false),
-            net::SimNetwork::Admit::kAdmit);
-  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration{}, true),
+  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration::nanos(1)),
             net::SimNetwork::Admit::kAdmit);
   EXPECT_EQ(network_.stats().admission_rejected, 0u);
   EXPECT_EQ(network_.stats().deadline_rejected, 0u);
-  EXPECT_EQ(network_.stats().shed_low_priority, 0u);
 }
 
-TEST_F(AdmissionTest, InflightBoundRejectsForegroundAndTighterBoundShedsBackground) {
-  network_.set_admission({.max_inflight = 4, .low_priority_inflight = 2});
-  network_.note_inflight(3, 2);
-  // Background already at its bound; foreground still fits.
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, true),
-            net::SimNetwork::Admit::kRejectInflight);
-  EXPECT_EQ(network_.stats().shed_low_priority, 1u);
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, false),
-            net::SimNetwork::Admit::kAdmit);
-  network_.note_inflight(3, 2);
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, false),
+TEST_F(AdmissionTest, InflightBoundRejectsAtTheBound) {
+  network_.set_admission({.max_inflight = 4});
+  network_.note_inflight(3, 3);
+  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}), net::SimNetwork::Admit::kAdmit);
+  network_.note_inflight(3, 1);
+  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}),
             net::SimNetwork::Admit::kRejectInflight);
   EXPECT_EQ(network_.stats().admission_rejected, 1u);
   // A different host is unaffected.
-  EXPECT_EQ(network_.admit(4, SimDuration{}, SimDuration{}, false),
-            net::SimNetwork::Admit::kAdmit);
+  EXPECT_EQ(network_.admit(4, SimDuration{}, SimDuration{}), net::SimNetwork::Admit::kAdmit);
 }
 
 TEST_F(AdmissionTest, DeadlineRejectsWhenHeadOfQueueServiceWouldStartTooLate) {
-  network_.set_admission({.max_inflight = 64, .low_priority_inflight = 0});
+  network_.set_admission({.max_inflight = 64});
   network_.end_service(5, SimDuration::millis(50));  // busy until t=50ms
   const SimDuration arrival = SimDuration::millis(10);
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(20), false),
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(20)),
             net::SimNetwork::Admit::kRejectDeadline);
   EXPECT_EQ(network_.stats().deadline_rejected, 1u);
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(60), false),
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(60)),
             net::SimNetwork::Admit::kAdmit);
   // No deadline (0) never deadline-rejects, however busy the host.
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration{}, false), net::SimNetwork::Admit::kAdmit);
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration{}), net::SimNetwork::Admit::kAdmit);
   EXPECT_EQ(network_.stats().deadline_rejected, 1u);
 }
 
@@ -274,8 +308,6 @@ TEST(OverloadConfigValidate, EachKnobIsRangeChecked) {
     EXPECT_NE(err.find("overload."), std::string::npos) << what << ": " << err;
   };
   expect_rejected([](auto& o) { o.max_inflight = 0; }, "max_inflight zero");
-  expect_rejected([](auto& o) { o.low_priority_fraction = 0.0; }, "fraction zero");
-  expect_rejected([](auto& o) { o.low_priority_fraction = 1.5; }, "fraction above one");
   expect_rejected([](auto& o) { o.retry_budget_cap = 0.5; }, "cap below one");
   expect_rejected([](auto& o) { o.retry_budget_refill = 0.0; }, "refill zero");
   expect_rejected([](auto& o) { o.retry_budget_refill = o.retry_budget_cap + 1; },
@@ -352,7 +384,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
       // so none of it may influence the run.
       config.kosha.overload.enabled = false;
       config.kosha.overload.max_inflight = 2;
-      config.kosha.overload.low_priority_fraction = 0.9;
       config.kosha.overload.retry_budget_cap = 1.0;
       config.kosha.overload.retry_budget_refill = 0.01;
       config.kosha.overload.breaker_threshold = 1;
@@ -378,7 +409,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
   EXPECT_EQ(knobs_net.admission_rejected, 0u);
   EXPECT_EQ(knobs_net.deadline_rejected, 0u);
   EXPECT_EQ(knobs_net.expired, 0u);
-  EXPECT_EQ(knobs_net.shed_low_priority, 0u);
 }
 
 // --- repair daemon yields to foreground load -----------------------------

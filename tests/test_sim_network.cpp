@@ -91,14 +91,25 @@ TEST(SimNetwork, TimeoutChargesAndCounts) {
   EXPECT_EQ(network.stats().timeouts, 1u);
 }
 
+// plan_message judges and times a message without touching the clock:
+// the caller turns the arrival into a delivery event.
+
 TEST(FaultPlan, NoPlanDeliversEverything) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  NetworkConfig config;
+  config.hop_latency = SimDuration::micros(100);
+  config.per_byte = SimDuration::nanos(80);
+  SimNetwork network(config, &clock);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
-  EXPECT_TRUE(network.try_message(a, b));
+  const SimDuration at = SimDuration::millis(7);
+  const auto plan = network.plan_message(a, b, 1000, at);
+  EXPECT_TRUE(plan.delivered);
+  EXPECT_EQ(plan.arrival.ns, (at + SimDuration::micros(100) + SimDuration::micros(80)).ns);
   EXPECT_EQ(network.stats().messages, 1u);
+  EXPECT_EQ(network.stats().bytes, 1000u);
   EXPECT_EQ(network.stats().drops, 0u);
+  EXPECT_EQ(clock.now().ns, 0);
 }
 
 TEST(FaultPlan, DropProbabilityOneLosesEveryRemoteMessage) {
@@ -109,12 +120,14 @@ TEST(FaultPlan, DropProbabilityOneLosesEveryRemoteMessage) {
   FaultPlanConfig fault;
   fault.drop_probability = 1.0;
   network.set_fault_plan(std::make_unique<FaultPlan>(fault));
-  EXPECT_FALSE(network.try_message(a, b));
+  EXPECT_FALSE(network.plan_message(a, b, 0, clock.now()).delivered);
   EXPECT_EQ(network.stats().drops, 1u);
   EXPECT_EQ(network.stats().messages, 0u);
   EXPECT_EQ(clock.now().ns, 0);  // the caller charges loss, not the wire
   // Loopback traffic never traverses the wire and is never judged.
-  EXPECT_TRUE(network.try_message(a, a));
+  const auto local = network.plan_message(a, a, 0, clock.now());
+  EXPECT_TRUE(local.delivered);
+  EXPECT_EQ(local.arrival.ns, network.config().local_latency.ns);
 }
 
 TEST(FaultPlan, BrownoutWindowIsBounded) {
@@ -126,15 +139,14 @@ TEST(FaultPlan, BrownoutWindowIsBounded) {
   plan->add_brownout(b, SimDuration::millis(10), SimDuration::millis(20));
   network.set_fault_plan(std::move(plan));
 
-  EXPECT_TRUE(network.try_message(a, b));  // before the window
-  clock.advance(SimDuration::millis(15) - clock.now());
-  EXPECT_FALSE(network.try_message(a, b));  // to the host
-  EXPECT_FALSE(network.try_message(b, a));  // and from it
+  const SimDuration inside = SimDuration::millis(15);
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration{}).delivered);  // before the window
+  EXPECT_FALSE(network.plan_message(a, b, 0, inside).delivered);        // to the host
+  EXPECT_FALSE(network.plan_message(b, a, 0, inside).delivered);        // and from it
   EXPECT_EQ(network.stats().drops, 2u);
-  EXPECT_EQ(network.fault_plan()->brownout_end(b, clock.now()).ns,
-            SimDuration::millis(20).ns);
-  clock.advance(SimDuration::millis(10));
-  EXPECT_TRUE(network.try_message(a, b));  // after the window
+  EXPECT_EQ(network.fault_plan()->brownout_end(b, inside).ns, SimDuration::millis(20).ns);
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration::millis(25)).delivered);  // after
+  EXPECT_EQ(clock.now().ns, 0);
 }
 
 TEST(FaultPlan, PartitionBlocksCrossGroupTrafficOnly) {
@@ -147,12 +159,12 @@ TEST(FaultPlan, PartitionBlocksCrossGroupTrafficOnly) {
   plan->add_partition({a}, {b}, SimDuration::nanos(0), SimDuration::seconds(1));
   network.set_fault_plan(std::move(plan));
 
-  EXPECT_FALSE(network.try_message(a, b));
-  EXPECT_FALSE(network.try_message(b, a));
+  EXPECT_FALSE(network.plan_message(a, b, 0, SimDuration{}).delivered);
+  EXPECT_FALSE(network.plan_message(b, a, 0, SimDuration{}).delivered);
   EXPECT_EQ(network.stats().partitioned, 2u);
-  EXPECT_TRUE(network.try_message(a, c));  // same side / unlisted host
-  clock.advance(SimDuration::seconds(2));
-  EXPECT_TRUE(network.try_message(a, b));  // window expired
+  EXPECT_TRUE(network.plan_message(a, c, 0, SimDuration{}).delivered);  // unlisted host
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration::seconds(2)).delivered);  // expired
+  EXPECT_EQ(clock.now().ns, 0);
 }
 
 TEST(FaultPlan, ForcedDropHitsTheScheduledMessage) {
@@ -162,12 +174,14 @@ TEST(FaultPlan, ForcedDropHitsTheScheduledMessage) {
   const HostId b = network.add_host();
   network.set_fault_plan(std::make_unique<FaultPlan>(FaultPlanConfig{}));
   network.fault_plan()->force_drop_message(2);
-  EXPECT_TRUE(network.try_message(a, b));
-  EXPECT_FALSE(network.try_message(a, b));
-  EXPECT_TRUE(network.try_message(a, b));
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration{}).delivered);
+  EXPECT_FALSE(network.plan_message(a, b, 0, SimDuration{}).delivered);
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration{}).delivered);
+  EXPECT_EQ(network.stats().drops, 1u);
+  EXPECT_EQ(network.stats().messages, 2u);
 }
 
-TEST(FaultPlan, LatencySpikeCharged) {
+TEST(FaultPlan, LatencySpikeDelaysArrival) {
   SimClock clock;
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(100);
@@ -179,8 +193,11 @@ TEST(FaultPlan, LatencySpikeCharged) {
   fault.latency_spike_probability = 1.0;
   fault.latency_spike = SimDuration::millis(3);
   network.set_fault_plan(std::make_unique<FaultPlan>(fault));
-  EXPECT_TRUE(network.try_message(a, b));
-  EXPECT_EQ(clock.now().ns, (SimDuration::micros(100) + SimDuration::millis(3)).ns);
+  const SimDuration at = SimDuration::millis(4);
+  const auto plan = network.plan_message(a, b, 0, at);
+  EXPECT_TRUE(plan.delivered);
+  EXPECT_EQ(plan.arrival.ns, (at + SimDuration::micros(100) + SimDuration::millis(3)).ns);
+  EXPECT_EQ(clock.now().ns, 0);
 }
 
 TEST(FaultPlan, SameSeedSameVerdicts) {
