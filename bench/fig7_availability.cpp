@@ -25,9 +25,10 @@
 // self-healing cluster under seeded exponential join/fail arrivals with no
 // failure oracle, reporting time-to-detection, MTTR, read availability and
 // data durability. Knobs: --nodes, --replicas, --duration S, --fail-mean S,
-// --join-mean S, --churn-files N, --drop P, --oracle (ablation: legacy
-// oracle repair), --seed; --csv dumps the deterministic timeline and
-// --metrics-out=FILE writes the JSON summary CI archives.
+// --join-mean S, --churn-files N, --drop P, --oracle (ablation: instant
+// failure verdicts, no heartbeat detectors), --seed; --csv dumps the
+// deterministic timeline and --metrics-out=FILE writes the JSON summary CI
+// archives.
 
 #include <cstdio>
 #include <fstream>

@@ -43,10 +43,12 @@ struct SimDuration {
 
 /// Monotonic virtual clock advanced explicitly by the simulation.
 ///
-/// The clock can be paused: advances become no-ops. This models work that
-/// happens off the client's critical path (asynchronous replica mirroring,
-/// background migration) — the traffic is still counted by the network
-/// statistics, but it does not delay the foreground operation.
+/// The clock can be paused: advances become no-ops. Three entry points of
+/// background work pause it, because the code they run (leaf-set repair,
+/// routing, brownout stalls) also runs on foreground paths, where it
+/// charges time: PastryOverlay::report_failure, PastryOverlay::reintroduce
+/// and RepairDaemon::tick. Replica copies and mirroring need no pause: they
+/// count their traffic with SimNetwork::count_message.
 class SimClock {
  public:
   [[nodiscard]] SimDuration now() const { return now_; }

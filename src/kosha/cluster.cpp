@@ -17,11 +17,9 @@ KoshaCluster::KoshaCluster(ClusterConfig config)
   if (const std::string err = config_.kosha.validate(); !err.empty()) {
     throw std::invalid_argument("KoshaConfig: " + err);
   }
-  if (config_.self_heal.enabled) {
-    overlay_.set_failure_listener([this](pastry::NodeId observer, pastry::NodeId dead) {
-      on_failure_reported(observer, dead);
-    });
-  }
+  overlay_.set_failure_listener([this](pastry::NodeId observer, pastry::NodeId dead) {
+    on_failure_reported(observer, dead);
+  });
   // Attaching the event loop puts NfsClient's synchronous API onto the
   // completion-based core (nfs_client.hpp).
   network_.set_event_loop(&loop_);
@@ -132,16 +130,12 @@ void KoshaCluster::fail_node(net::HostId host) {
   runtime_.replica_managers.erase(host);
   if (node.detector != nullptr) node.detector->stop();
   if (node.repair != nullptr) node.repair->stop();
+  // Record when; the first survivor's verdict closes this record.
+  death_times_[node.id] = DetectionEvent{.host = host, .failed_at = clock_.now()};
   if (config_.self_heal.enabled) {
-    // Oracle-free: stop the host and record when — survivors must notice
-    // via their detectors; the first confirmed report closes this record.
-    DetectionEvent event;
-    event.host = host;
-    event.failed_at = clock_.now();
-    death_times_[node.id] = event;
-    overlay_.mark_dead(node.id);
+    overlay_.mark_dead(node.id);  // survivors must notice via their detectors
   } else {
-    overlay_.fail(node.id);  // oracle: triggers repair, promotion, re-replication
+    overlay_.fail(node.id);  // instant verdicts: repair, promotion, re-replication
   }
 }
 

@@ -42,13 +42,14 @@ struct ObservabilityConfig {
   bool profiling = false;
 };
 
-/// Autonomous failure handling (DESIGN §8). Off by default: fail_node then
-/// tells the survivors directly (the oracle) and repair runs synchronously
-/// — the model every pre-existing test assumes. Enabled, fail_node only
-/// stops the host: each node runs a heartbeat failure detector and an
-/// anti-entropy repair daemon on the event loop, and the survivors must
-/// detect the death, repair the ring, and converge replication themselves;
-/// the detectors and repair daemons are timers on the cluster's event loop.
+/// Autonomous failure handling (DESIGN §8). Off by default: verdicts are
+/// then instantaneous — fail_node hands every survivor holding the dead
+/// node the same report_failure() a detector would, and repair runs before
+/// it returns, with no heartbeat events. Enabled, fail_node only stops the
+/// host: each node runs a heartbeat failure detector and an anti-entropy
+/// repair daemon as timers on the cluster's event loop, and the survivors
+/// must detect the death, repair the ring, and converge replication
+/// themselves.
 struct SelfHealConfig {
   bool enabled = false;
   pastry::FailureDetectorConfig detector;
@@ -81,13 +82,15 @@ class KoshaCluster {
   /// Triggers the join protocol and any key-space migration.
   net::HostId add_node(std::uint64_t capacity_bytes = 0);
 
-  /// Crash a node. Without self-healing its leaf-set neighbors repair
-  /// immediately (oracle-driven) and replicas are promoted before this
-  /// returns. With self-healing this only stops the host: survivors
-  /// discover the death via their failure detectors as virtual time runs
-  /// (drive the loop, e.g. loop().run_until_time), repair the ring, and
-  /// the repair daemons converge replication. Clients fail over
-  /// transparently on their next access either way.
+  /// Crash a node and record it for detections(). Without self-healing
+  /// its leaf-set neighbors get instant verdicts: they repair and promote
+  /// replicas before this returns, as background work that leaves the
+  /// clock where it was (the repair traffic is counted in NetStats). With
+  /// self-healing this only stops the host: survivors discover the death
+  /// via their failure detectors as virtual time runs (drive the loop,
+  /// e.g. loop().run_until_time), repair the ring, and the repair daemons
+  /// converge replication. Clients fail over transparently on their next
+  /// access either way.
   void fail_node(net::HostId host);
 
   /// Gracefully retire a node (paper §4.3: leaving is distinct from
@@ -111,8 +114,9 @@ class KoshaCluster {
   [[nodiscard]] pastry::FailureDetector* detector(net::HostId host);
   [[nodiscard]] RepairDaemon* repair_daemon(net::HostId host);
 
-  /// One confirmed-detection record per real failure (self-healing mode):
-  /// filled when the first survivor declares the dead node and repairs.
+  /// One confirmed-detection record per real failure: filled when the
+  /// first survivor's verdict repairs around the dead node (at once, with
+  /// detected_at == failed_at, when self-healing is off).
   struct DetectionEvent {
     net::HostId host = net::kInvalidHost;
     SimDuration failed_at{};
@@ -195,7 +199,7 @@ class KoshaCluster {
   /// Monotonic boot-verifier source: deterministic (no wall clock) so a
   /// seeded run replays identically across crash/revive cycles.
   std::uint64_t next_boot_ = 1;
-  /// Self-healing bookkeeping: when each still-undetected real failure
+  /// Detection bookkeeping: when each still-undetected real failure
   /// happened (keyed by the dead incarnation's node id), and the detection
   /// record once the first survivor confirms it.
   std::map<Uint128, DetectionEvent> death_times_;

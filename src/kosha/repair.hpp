@@ -17,7 +17,9 @@
 //
 // Invariants (DESIGN §8):
 //   * repair traffic is background: counted by NetStats, never charged to
-//     a foreground op (every pass runs under ClockPauser);
+//     a foreground op (every pass runs under ClockPauser, one of the
+//     clock's three pause sites, because a pass also routes keys, which
+//     charges hops; ReplicaManager's copies only count their messages);
 //   * repair is idempotent: a pass over a converged node performs audits
 //     only, no mutations;
 //   * repair is rate-limited: at most max_pushes_per_tick anchor pushes

@@ -40,9 +40,8 @@ void put_file(fs::StorageBackend& store, const std::string& path, const fs::Byte
 
 }  // namespace
 
-bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& src,
-                  const std::string& src_path, net::HostId dst_host, fs::StorageBackend& dst,
-                  const std::string& dst_path) {
+bool copy_subtree(Runtime& runtime, fs::StorageBackend& src, const std::string& src_path,
+                  fs::StorageBackend& dst, const std::string& dst_path) {
   const auto root = src.resolve(src_path);
   if (!root.ok()) return true;  // nothing to copy
   const auto attr = src.getattr(*root);
@@ -54,23 +53,23 @@ bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& sr
     // not clobber the destination's copy with fabricated content; leave it
     // for the replica path to serve and repair. Flat reads here never fail.
     if (!content.ok()) return true;
-    std::uint64_t charge_bytes = attr->size;
+    std::uint64_t wire_bytes = attr->size;
     if (const auto blocks = src.file_blocks(*root); !blocks.empty()) {
-      // Both ends speak blocks: transfer (charge) only what dst lacks.
+      // Both ends speak blocks: transfer (count) only what dst lacks.
       std::uint64_t missing = 0;
       bool delta = dst.kind() == src.kind();
       for (const auto& block : blocks) {
         if (!dst.has_block(block.id)) missing += block.bytes;
       }
-      if (delta) charge_bytes = missing;
+      if (delta) wire_bytes = missing;
     }
-    runtime.network->charge_message(src_host, dst_host, charge_bytes);
+    runtime.network->count_message(wire_bytes);
     put_file(dst, dst_path, content.value(), attr->mode, attr->uid, attr->gid);
     return true;
   }
   if (attr->type == fs::FileType::kSymlink) {
     const auto target = src.readlink(*root);
-    runtime.network->charge_message(src_host, dst_host, 64);
+    runtime.network->count_message(64);
     const auto [parent, name] = dir_and_name(dst_path);
     if (const auto dir = dst.mkdir_p(parent); dir.ok()) {
       // If the stale entry cannot be cleared the new link cannot land;
@@ -86,14 +85,14 @@ bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& sr
   }
 
   // Directory: create it, then copy children depth-first.
-  runtime.network->charge_message(src_host, dst_host, 64);
+  runtime.network->count_message(64);
   if (!dst.mkdir_p(dst_path).ok()) return true;
   const auto entries = src.readdir(*root);
   if (!entries.ok()) return true;
   for (const auto& entry : entries.value()) {
     if (src_path == "/" && entry.name == kReplicaArea) continue;  // never copy replicas
     if (runtime.migration_interrupt && runtime.migration_interrupt()) return false;
-    if (!copy_subtree(runtime, src_host, src, path_child(src_path, entry.name), dst_host, dst,
+    if (!copy_subtree(runtime, src, path_child(src_path, entry.name), dst,
                       path_child(dst_path, entry.name))) {
       return false;
     }
@@ -164,7 +163,6 @@ void ReplicaManager::register_primary(const std::string& stored_anchor_path,
   // deepest_anchor() finds only canonical keys; registration is rare.
   assert(normalize_path(stored_anchor_path) == stored_anchor_path);
   primaries_[stored_anchor_path] = effective_name;
-  ClockPauser pause(*runtime_->clock);
   for (const pastry::NodeId t : targets_) {
     if (runtime_->overlay->is_live(t)) (void)push_anchor_to(t, stored_anchor_path);
   }
@@ -179,21 +177,21 @@ void ReplicaManager::unregister_primary(const std::string& stored_anchor_path) {
 // ---------------------------------------------------------------------------
 // Every mirror op applies the primary-side mutation at the same stored path
 // inside the hidden area of each live replica target. Mirroring is
-// asynchronous, as in the paper: the fan-out runs under a paused clock, so
-// its messages are counted but the foreground op is never delayed.
+// asynchronous, as in the paper: the fan-out counts its messages with
+// count_message, which never advances the clock, so the foreground op is
+// never delayed.
 
 std::size_t ReplicaManager::fan_out(std::size_t payload,
                                     const std::function<void(net::HostId)>& apply) {
   const std::vector<net::HostId> targets = live_target_hosts();
   if (targets.empty()) return 0;
-  ClockPauser pause(*runtime_->clock);
   for (const net::HostId host : targets) {
     // One span per replica target: a mutating client op traces as the
     // primary forward plus this fan-out of mirror spans.
     SpanScope span(runtime_->tracer, "replica.mirror", host_);
     if (span.active()) span.tag("target", std::to_string(host));
     if (mirror_ops_ != nullptr) mirror_ops_->inc();
-    runtime_->network->charge_message(host_, host, payload);
+    runtime_->network->count_message(payload);
     apply(host);
   }
   mirror_stats_.rpcs += targets.size();
@@ -365,9 +363,9 @@ bool ReplicaManager::push_anchor_to(pastry::NodeId target, const std::string& an
     // kosha-lint: allow(ignore-status): kExist means the flag is already up; NOSPC surfaces on the copy itself
     (void)store->create(*dir, kMigrationFlag);
   }
-  runtime_->network->charge_message(host_, host, 96);
-  const bool complete = copy_subtree(*runtime_, host_, local_store(), anchor_path, host,
-                                     *store, root + anchor_path);
+  runtime_->network->count_message(96);
+  const bool complete =
+      copy_subtree(*runtime_, local_store(), anchor_path, *store, root + anchor_path);
   if (complete) {
     if (const auto dir = store->resolve(root); dir.ok()) {
       // kosha-lint: allow(ignore-status): a surviving flag only keeps the copy marked incomplete; the audit re-pushes it
@@ -400,7 +398,6 @@ void ReplicaManager::push_all_to(pastry::NodeId target) {
   if (runtime_->overlay->is_live(target)) {
     stall_through_brownout(runtime_->overlay->host_of(target));
   }
-  ClockPauser pause(*runtime_->clock);
   for (const auto& [anchor, name] : primaries_) {
     (void)name;
     if (!push_anchor_to(target, anchor)) return;  // interrupted: flag stays
@@ -412,8 +409,7 @@ void ReplicaManager::delete_from(pastry::NodeId target) {
   const net::HostId host = runtime_->overlay->host_of(target);
   fs::StorageBackend* store = store_of(host);
   if (store == nullptr) return;
-  ClockPauser pause(*runtime_->clock);
-  runtime_->network->charge_message(host_, host, 96);
+  runtime_->network->count_message(96);
   if (const auto area = store->resolve(std::string("/") + kReplicaArea); area.ok()) {
     // kosha-lint: allow(ignore-status): best-effort space reclamation; a leftover stale copy is reclaimed by the next audit
     (void)store->remove_recursive(*area, id_.to_hex());
@@ -533,9 +529,6 @@ void ReplicaManager::migrate_moved_anchors() {
 }
 
 void ReplicaManager::audit_replicas(std::size_t max_pushes, ReconcileReport* report) {
-  // Anti-entropy traffic is off the critical path: count it, charge no
-  // foreground time.
-  ClockPauser pause(*runtime_->clock);
   const std::string& root = hidden_root_;
   std::size_t pushes = 0;
 
@@ -550,7 +543,8 @@ void ReplicaManager::audit_replicas(std::size_t max_pushes, ReconcileReport* rep
     fs::StorageBackend* store = store_of(target_host);
     if (store == nullptr) continue;
     // One audit round trip per target: request a manifest of our area.
-    runtime_->network->charge_rtt(host_, target_host, 64);
+    runtime_->network->count_message(64);
+    runtime_->network->count_message(0);
     const bool flagged = store->resolve(path_child(root, kMigrationFlag)).ok();
     for (const auto& [anchor, name] : primaries_) {
       (void)name;
@@ -581,7 +575,8 @@ void ReplicaManager::audit_replicas(std::size_t max_pushes, ReconcileReport* rep
     if (!runtime_->network->is_up(primary_host)) continue;
     ReplicaManager* prm = runtime_->replica_manager(primary_host);
     if (prm == nullptr) continue;
-    runtime_->network->charge_rtt(host_, primary_host, 64);
+    runtime_->network->count_message(64);
+    runtime_->network->count_message(0);
     const bool still_target =
         std::find(prm->targets_.begin(), prm->targets_.end(), id_) != prm->targets_.end();
     for (const auto& [anchor, name] : anchors) {
@@ -628,9 +623,7 @@ bool ReplicaManager::hand_off_replica(pastry::NodeId dead_primary, pastry::NodeI
   SpanScope span(runtime_->tracer, "replica.handoff", host_);
   if (span.active()) span.tag("target", std::to_string(owner_host));
   if (handoffs_ != nullptr) handoffs_->inc();
-  ClockPauser pause(*runtime_->clock);
-  if (!copy_subtree(*runtime_, host_, store, root + anchor, owner_host, *owner_store,
-                    anchor)) {
+  if (!copy_subtree(*runtime_, store, root + anchor, *owner_store, anchor)) {
     return false;
   }
   owner_rm->register_primary(anchor, name);
@@ -690,11 +683,9 @@ void ReplicaManager::promote(pastry::NodeId dead_primary,
       // The donor may itself be browned out mid-repair; wait the window
       // out rather than repairing from an unreachable peer.
       stall_through_brownout(host);
-      ClockPauser pause(*runtime_->clock);
       for (const auto& [anchor, name] : anchors) {
         (void)name;
-        (void)copy_subtree(*runtime_, host, *peer, root + anchor, host_, store,
-                           root + anchor);
+        (void)copy_subtree(*runtime_, *peer, root + anchor, store, root + anchor);
       }
       if (const auto dir = store.resolve(root); dir.ok()) {
         // kosha-lint: allow(ignore-status): a surviving flag only keeps the copy marked incomplete; the audit re-pushes it
@@ -747,10 +738,8 @@ void ReplicaManager::migrate_anchor_to(pastry::NodeId new_owner,
   SpanScope span(runtime_->tracer, "replica.migrate", host_);
   if (span.active()) span.tag("target", std::to_string(owner_host));
   if (migrations_ != nullptr) migrations_->inc();
-  ClockPauser pause(*runtime_->clock);
   fs::StorageBackend& store = local_store();
-  if (!copy_subtree(*runtime_, host_, store, stored_anchor_path, owner_host, *owner_store,
-                    stored_anchor_path)) {
+  if (!copy_subtree(*runtime_, store, stored_anchor_path, *owner_store, stored_anchor_path)) {
     return;  // interrupted; retried on the next membership event
   }
   // The new owner takes over as primary; our live copy becomes a replica

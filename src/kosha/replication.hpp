@@ -147,9 +147,9 @@ class ReplicaManager {
   }
   /// Live replica target hosts for mirroring.
   [[nodiscard]] std::vector<net::HostId> live_target_hosts() const;
-  /// Charge + apply one mirror message per live target in the background
-  /// (clock paused). `apply` receives the target host; returns the number
-  /// of messages sent.
+  /// Count + apply one mirror message per live target in the background
+  /// (count_message: the clock does not move). `apply` receives the target
+  /// host; returns the number of messages sent.
   std::size_t fan_out(std::size_t payload, const std::function<void(net::HostId)>& apply);
   /// fan_out specialised to "apply `op` at the replicated stored path on
   /// every live target" (every mirror op except rename).
@@ -166,8 +166,8 @@ class ReplicaManager {
   /// advance the virtual clock past the window (chained windows included)
   /// before starting a repair copy: membership-driven re-replication waits
   /// for a stalled neighbor instead of replicating into the outage. No-op
-  /// without a fault plan, and while the clock is paused (store-direct
-  /// async mirroring is already immune to message loss).
+  /// without a fault plan, and while the clock is paused (inside a verdict
+  /// or a repair tick, where waiting could not move the clock anyway).
   void stall_through_brownout(net::HostId peer);
 
   /// Copy one anchor subtree to a target's hidden area (flag-guarded).
@@ -239,15 +239,15 @@ class ReplicaManager {
   std::map<Uint128, std::map<std::string, std::string>> replicas_held_;
 };
 
-/// Copy a subtree between two stores, charging one message per entry plus
-/// payload bytes on the network. Does not follow symlinks (special links
-/// are copied as links). When both ends are content-addressed, a file's
-/// message charges only the bytes of blocks the destination does not
+/// Copy a subtree between two stores, counting one background message per
+/// entry plus payload bytes on the network (SimNetwork::count_message: the
+/// clock does not move). Does not follow symlinks (special links are
+/// copied as links). When both ends are content-addressed, a file's
+/// message counts only the bytes of blocks the destination does not
 /// already hold (delta transfer over the Merkle manifest); flat stores
-/// charge the full file size as before. Returns false if interrupted by
-/// the runtime's fault-injection hook.
-bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& src,
-                  const std::string& src_path, net::HostId dst_host, fs::StorageBackend& dst,
-                  const std::string& dst_path);
+/// count the full file size. Returns false if interrupted by the
+/// runtime's fault-injection hook.
+bool copy_subtree(Runtime& runtime, fs::StorageBackend& src, const std::string& src_path,
+                  fs::StorageBackend& dst, const std::string& dst_path);
 
 }  // namespace kosha

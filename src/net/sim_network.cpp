@@ -20,8 +20,7 @@ HostId SimNetwork::add_host() {
 }
 
 void SimNetwork::charge_message(HostId src, HostId dst, std::size_t payload_bytes) {
-  ++stats_.messages;
-  stats_.bytes += payload_bytes;
+  count_message(payload_bytes);
   const SimDuration latency = (src == dst) ? config_.local_latency : config_.hop_latency;
   clock_->advance(latency + SimDuration::nanos(config_.per_byte.ns *
                                                static_cast<std::int64_t>(payload_bytes)));

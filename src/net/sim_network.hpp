@@ -125,6 +125,15 @@ class SimNetwork {
   /// Local delivery (src == dst) is free.
   void charge_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
 
+  /// Count one one-way message in the statistics without advancing the
+  /// clock: the twin of charge_message for background traffic (replica
+  /// mirroring, pushes, audits, migration), which runs off every
+  /// foreground operation's critical path.
+  void count_message(std::size_t payload_bytes) {
+    ++stats_.messages;
+    stats_.bytes += payload_bytes;
+  }
+
   /// Install (or clear, with nullptr) the fault plan.
   void set_fault_plan(std::unique_ptr<FaultPlan> plan) { fault_plan_ = std::move(plan); }
   [[nodiscard]] FaultPlan* fault_plan() const { return fault_plan_.get(); }

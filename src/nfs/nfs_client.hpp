@@ -7,7 +7,8 @@
 // synchronous API submits one call and drives the loop until it completes.
 // RPCs are foreground work only: the clock must not be paused while one
 // runs. Background work (mirror fan-out, repair, migration) reaches remote
-// stores directly and pays with SimNetwork::charge_message. Two failure
+// stores directly and counts its traffic with SimNetwork::count_message,
+// which never moves the clock. Two failure
 // regimes are distinguished:
 //   * hard-down — the host is marked dead (or its server was erased from
 //     the directory, e.g. retirement): one timeout, kUnreachable, no

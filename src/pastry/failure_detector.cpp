@@ -217,9 +217,6 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
   --death_verdicts_;
   ++stats_.reinstated;
   trace_event("fd.reinstate", peer);
-  // Reintroduction repairs the leaf set off the critical path: the traffic
-  // is counted but does not stall whatever foreground op is in flight.
-  ClockPauser pause(loop_->clock());
   overlay_->reintroduce(self_, peer);
 }
 
@@ -388,9 +385,6 @@ void FailureDetector::declare_dead(NodeId target, PeerState& state) {
   ++death_verdicts_;
   ++stats_.declared_dead;
   trace_event("fd.declare", target);
-  // Repair traffic is anti-entropy background work: counted, not charged
-  // against whatever foreground operation happens to be in flight.
-  ClockPauser pause(loop_->clock());
   overlay_->report_failure(self_, target);
 }
 

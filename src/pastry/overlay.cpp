@@ -265,9 +265,8 @@ void PastryOverlay::repair_leaf_set(Node& n) {
     // ground truth here would silently drop a second not-yet-detected
     // casualty while repairing around the first, and a node absent from
     // every leaf set is never probed — its death would go undeclared
-    // forever. Without a detector (oracle mode) ground truth is the only
-    // signal there is.
-    if (declared(m) || (n.detector == nullptr && !is_live(m))) {
+    // forever.
+    if (declared(m)) {
       n.leaves.remove(m);
       continue;
     }
@@ -295,24 +294,18 @@ void PastryOverlay::mark_dead(NodeId id) {
 }
 
 void PastryOverlay::fail(NodeId id) {
-  if (!is_live(id)) return;
   mark_dead(id);
-
   for (const auto& up : nodes_) {
-    Node& n = *up;
-    if (!is_live(n.id)) continue;
-    if (n.leaves.remove(id)) {
-      network_->charge_timeout();  // the failure is detected by a peer
-      repair_leaf_set(n);
-      notify_leaf_change(n);
-    }
-    // Routing-table entries decay lazily during routing.
+    if (is_live(up->id) && up->leaves.contains(id)) report_failure(up->id, id);
   }
 }
 
 void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
   Node& n = node(observer);
   if (!is_live(observer)) return;
+  // Acting on a verdict is background work: the repair traffic is counted,
+  // never charged to whatever foreground operation is in flight.
+  ClockPauser pause(network_->clock());
   const bool was_member = n.leaves.remove(dead);
   n.table.remove(dead);
   if (!was_member) return;
@@ -324,6 +317,7 @@ void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
 void PastryOverlay::reintroduce(NodeId observer, NodeId peer) {
   Node& n = node(observer);
   if (!is_live(observer) || !is_live(peer)) return;
+  ClockPauser pause(network_->clock());  // background, like report_failure
   // Exchange state with the returning peer (it may have drifted while we
   // shunned it), then fold it back in.
   network_->charge_rtt(n.host, node(peer).host, kStateBytes / 4);

@@ -4,8 +4,9 @@
 //
 // This is the substrate Kosha runs on (paper §2.2, §4.3). Nodes join by
 // routing a join message to the numerically closest existing node and
-// copying state from the nodes along the path; failures trigger leaf-set
-// repair at affected nodes and are detected lazily in routing tables.
+// copying state from the nodes along the path; a failure verdict triggers
+// leaf-set repair at the observer, and dead routing-table entries held
+// elsewhere are detected lazily during routing.
 // All inter-node traffic is charged on the simulated network.
 //
 // The overlay keeps a ground-truth Ring of live nodes for verification and
@@ -38,7 +39,8 @@ struct RouteResult {
 using NeighborCallback = std::function<void()>;
 
 /// Fired when `observer` confirms `dead` as failed and repairs its own
-/// state (the decentralized path; the cluster uses it to time detection).
+/// state (every verdict, oracle or detector; the cluster uses it to time
+/// detection).
 using FailureListener = std::function<void(NodeId observer, NodeId dead)>;
 
 class PastryOverlay {
@@ -50,26 +52,29 @@ class PastryOverlay {
   /// bootstrap node, charging overlay traffic.
   void join(NodeId id, net::HostId host);
 
-  /// Crash-fail a node with oracle-driven repair: live nodes holding it in
-  /// their leaf sets repair immediately (charged); routing-table entries
-  /// decay lazily. Equivalent to mark_dead() plus telling every affected
-  /// survivor at once — the legacy path used when self-healing is off.
+  /// Crash-fail a node with instantaneous verdicts (the oracle, used when
+  /// self-healing is off): mark_dead() plus report_failure() at once for
+  /// every live node whose leaf set holds it. Other routing-table entries
+  /// decay lazily during routing.
   void fail(NodeId id);
 
   /// Crash-fail a node *without* telling anyone: the node stops being
-  /// live, but survivors keep it in their leaf sets until their failure
-  /// detectors notice and call report_failure(). The oracle-free path.
+  /// live, but survivors keep it in their leaf sets until a verdict
+  /// (a failure detector's, or fail()'s) calls report_failure().
   void mark_dead(NodeId id);
 
-  /// `observer` confirmed `dead` as failed (via its failure detector):
-  /// drop it from the observer's leaf set and routing table, repair the
-  /// leaf set, and fire the observer's neighbor callback so replication
-  /// reacts. Safe to call with stale verdicts (no-op when already gone).
+  /// `observer` confirmed `dead` as failed: drop it from the observer's
+  /// leaf set and routing table, repair the leaf set, fire the observer's
+  /// neighbor callback so replication reacts, and tell the failure
+  /// listener. Background work: runs under a paused clock, so the repair
+  /// traffic is counted but charges no time. Safe to call with stale
+  /// verdicts (no-op when already gone).
   void report_failure(NodeId observer, NodeId dead);
 
   /// `observer` learned that `peer` — which it had declared dead — is in
   /// fact alive (false suspicion healed): fold it back into the observer's
-  /// leaf set and routing table and fire the neighbor callback.
+  /// leaf set and routing table and fire the neighbor callback. Background
+  /// work, under a paused clock like report_failure().
   void reintroduce(NodeId observer, NodeId peer);
 
   [[nodiscard]] bool is_live(NodeId id) const;
@@ -94,7 +99,7 @@ class PastryOverlay {
 
   /// Failure-detector registry: scheduled probe events resolve detectors
   /// through here at fire time, so events aimed at a dead or stopped node
-  /// become no-ops instead of dangling. mark_dead()/fail() clear the slot.
+  /// become no-ops instead of dangling. mark_dead() clears the slot.
   void set_detector(NodeId id, FailureDetector* detector);
   [[nodiscard]] FailureDetector* detector(NodeId id) const;
 

@@ -75,8 +75,9 @@ struct ChurnSimConfig {
   std::size_t min_live = 5;
   /// Optional message-drop probability soaking the detectors in noise.
   double drop_probability = 0.0;
-  /// Ablation: run the legacy oracle-driven repair instead of self-healing
-  /// (detection is instantaneous by fiat; everything else identical).
+  /// Ablation: self-healing off, so every failure reaches the survivors as
+  /// an instant verdict (zero detection latency, no heartbeat or repair
+  /// daemon events); the verdicts take the same report_failure path.
   bool oracle = false;
   pastry::FailureDetectorConfig detector;
   RepairDaemonConfig repair;
@@ -95,7 +96,7 @@ struct ChurnResult {
   std::size_t failures = 0;
   std::size_t joins = 0;
   /// Confirmed failure detections and their latency (ms). In oracle mode
-  /// detection is by fiat: detected == failures, latencies all zero.
+  /// the verdicts are instant: every latency is zero.
   std::size_t detected = 0;
   double detect_ms_mean = 0;
   double detect_ms_max = 0;

@@ -221,18 +221,14 @@ ChurnResult simulate_churn(const ChurnSimConfig& config) {
   }
 
   // Detection latency: recorded by the cluster when the first survivor
-  // confirms each real death. Oracle mode detects by fiat.
-  if (config.oracle) {
-    result.detected = result.failures;
-  } else {
-    for (const auto& detection : cluster.detections()) {
-      const double ms = (detection.detected_at - detection.failed_at).to_millis();
-      ++result.detected;
-      result.detect_ms_mean += ms;
-      result.detect_ms_max = std::max(result.detect_ms_max, ms);
-    }
-    if (result.detected > 0) result.detect_ms_mean /= static_cast<double>(result.detected);
+  // confirms each real death (at once in oracle mode).
+  for (const auto& detection : cluster.detections()) {
+    const double ms = (detection.detected_at - detection.failed_at).to_millis();
+    ++result.detected;
+    result.detect_ms_mean += ms;
+    result.detect_ms_max = std::max(result.detect_ms_max, ms);
   }
+  if (result.detected > 0) result.detect_ms_mean /= static_cast<double>(result.detected);
 
   // MTTR: failure -> first subsequent sample at 100% full replication
   // (sample-grid resolution).

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
+#include "sim/availability_sim.hpp"
 
 namespace kosha {
 namespace {
@@ -119,6 +123,87 @@ TEST(ClusterChurn, MassJoinThenMassFailure) {
     ASSERT_TRUE(content.ok()) << i;
     EXPECT_EQ(content.value(), std::to_string(i));
   }
+}
+
+// --- oracle mode: instant verdicts through report_failure -----------------
+
+TEST(ClusterChurn, OracleFailureIsAnInstantBackgroundVerdict) {
+  ClusterConfig config;
+  config.nodes = 10;
+  config.kosha.distribution_level = 2;
+  config.kosha.replicas = 2;
+  config.seed = 17;
+  KoshaCluster cluster(config);
+  KoshaMount mount(&cluster.daemon(0));
+  for (int i = 0; i < 8; ++i) {
+    const std::string dir = "/o" + std::to_string(i % 4);
+    ASSERT_TRUE(mount.mkdir_p(dir).ok());
+    ASSERT_TRUE(mount.write_file(dir + "/f" + std::to_string(i), std::to_string(i)).ok());
+  }
+
+  const net::HostId victim = 5;
+  const pastry::NodeId dead = cluster.node_id(victim);
+  const pastry::PastryOverlay& overlay = cluster.overlay();
+  std::vector<pastry::NodeId> holders;
+  for (const net::HostId host : cluster.live_hosts()) {
+    const pastry::NodeId id = cluster.node_id(host);
+    if (host != victim && overlay.leaf_set(id).contains(dead)) holders.push_back(id);
+  }
+  ASSERT_FALSE(holders.empty());
+  const SimDuration before = cluster.clock().now();
+  const net::NetStats stats = cluster.network().stats();
+
+  cluster.fail_node(victim);
+
+  // The verdicts are background work: the repair traffic is counted, and
+  // the caller's clock does not move.
+  EXPECT_EQ(cluster.clock().now(), before);
+  EXPECT_GT(cluster.network().stats().messages, stats.messages);
+  EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
+  for (const net::HostId host : cluster.live_hosts()) {
+    EXPECT_FALSE(overlay.leaf_set(cluster.node_id(host)).contains(dead)) << host;
+  }
+  for (const pastry::NodeId holder : holders) {
+    const auto entries = overlay.routing_table(holder).entries();
+    EXPECT_EQ(std::count(entries.begin(), entries.end(), dead), 0);
+  }
+  ASSERT_EQ(cluster.detections().size(), 1u);
+  const KoshaCluster::DetectionEvent& detection = cluster.detections().front();
+  EXPECT_EQ(detection.host, victim);
+  EXPECT_EQ(detection.failed_at, before);
+  EXPECT_EQ(detection.detected_at, detection.failed_at);
+  EXPECT_EQ(cluster.undetected_failures(), 0u);
+  for (int i = 0; i < 8; ++i) {
+    const auto read =
+        mount.read_file("/o" + std::to_string(i % 4) + "/f" + std::to_string(i));
+    ASSERT_TRUE(read.ok()) << i;
+    EXPECT_EQ(read.value(), std::to_string(i));
+  }
+}
+
+TEST(ClusterChurn, OracleChurnTimelineIsTimeOrdered) {
+  // A failure does not move the clock, so no event is logged at an
+  // earlier instant than the sample before it.
+  sim::ChurnSimConfig config;
+  config.seed = 3;
+  config.oracle = true;
+  const sim::ChurnResult result = sim::simulate_churn(config);
+  ASSERT_GT(result.failures, 0u);
+  EXPECT_EQ(result.detected, result.failures);
+  EXPECT_EQ(result.detect_ms_max, 0.0);
+
+  std::istringstream lines(result.timeline_csv);
+  std::string line;
+  long long last = -1;
+  std::size_t events = 0;
+  while (std::getline(lines, line)) {
+    if (line.size() < 2 || line.find_first_of("FJS") != 0) continue;
+    const long long at = std::stoll(line.substr(2, line.find(',', 2) - 2));
+    EXPECT_GE(at, last) << line;
+    last = at;
+    ++events;
+  }
+  EXPECT_GT(events, result.failures + result.joins);
 }
 
 // --- self-healing mode (DESIGN §8): no oracle, detectors + daemons -------

@@ -3,7 +3,7 @@
 // migration on join, revival purge, the MIGRATION_NOT_COMPLETE repair
 // protocol (exercised with fault injection), the anchor lookup that
 // decides which mutations get mirrored, and the background timing of the
-// mirror fan-out.
+// mirror fan-out, anchor pushes and migrations.
 
 #include <gtest/gtest.h>
 
@@ -448,6 +448,36 @@ TEST(Replication, BackgroundMirroringNeverDelaysForeground) {
   EXPECT_EQ(k3.first, k0.first);
   EXPECT_LT(k0.second, k1.second);
   EXPECT_LT(k1.second, k3.second);
+}
+
+TEST(Replication, BackgroundCopiesAreCountedNotClocked) {
+  // Anchor pushes and migrations are background work even when called
+  // straight from foreground code with no paused clock around them: their
+  // messages and bytes are counted, and the clock stays where it was.
+  KoshaCluster cluster(config_for(6, 2));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/bg").ok());
+  ASSERT_TRUE(mount.write_file("/bg/f", std::string(4096, 'b')).ok());
+  const net::HostId primary = primary_host(cluster, 0, "/bg");
+  ReplicaManager& rm = cluster.replicas(primary);
+  const std::string stored = stored_path({"bg"}, 1, "bg");
+  ASSERT_EQ(rm.primaries().count(stored), 1u);
+  ASSERT_EQ(rm.targets().size(), 2u);
+  ASSERT_FALSE(cluster.clock().paused());
+
+  const SimDuration before = cluster.clock().now();
+  net::NetStats stats = cluster.network().stats();
+  rm.register_primary(stored, "bg");  // re-pushes the anchor to both targets
+  EXPECT_EQ(cluster.clock().now(), before);
+  EXPECT_GT(cluster.network().stats().messages, stats.messages);
+  EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
+
+  stats = cluster.network().stats();
+  rm.evacuate();  // hands every anchor to its successor owner
+  EXPECT_EQ(cluster.clock().now(), before);
+  EXPECT_GT(cluster.network().stats().messages, stats.messages);
+  EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
+  EXPECT_EQ(rm.primaries().count(stored), 0u);
 }
 
 // ---------------------------------------------------------------------------
