@@ -6,21 +6,42 @@
 
 namespace kosha {
 
-namespace {
-
 /// Per-operation instrumentation at the POSIX/mount seam — where a client
 /// operation begins, so this is where traces are minted. Opens a root span
-/// named `op` (e.g. "mount.write_file") tagged with the path, and records
-/// the operation's virtual-clock latency into `<op>.latency_us`. Inert
-/// (no allocation, no clock reads) when observability is off.
-struct MountOp {
-  MountOp(Runtime& rt, const char* op, std::string_view path, net::HostId host)
-      : clock(rt.clock),
-        hist(rt.metrics == nullptr ? nullptr
-                                   : rt.metrics->histogram(std::string(op) + ".latency_us")),
-        span(rt.tracer, op, host),
+/// named after the op (e.g. "mount.write_file") tagged with the path, and
+/// records the operation's virtual-clock latency into `<op>.latency_us`.
+/// Inert (no allocation, no clock reads) when observability is off.
+struct KoshaMount::Op {
+  /// Span and histogram-prefix names, in OpKind order.
+  static constexpr std::array<const char*, static_cast<std::size_t>(OpKind::kCount)> kNames = {
+      "mount.resolve",     // kResolve
+      "mount.mkdir_p",     // kMkdirP
+      "mount.write_file",  // kWriteFile
+      "mount.read_file",   // kReadFile
+      "mount.stat",        // kStat
+      "mount.list",        // kList
+      "mount.remove",      // kRemove
+      "mount.rmdir",       // kRmdir
+      "mount.remove_all",  // kRemoveAll
+      "mount.rename",      // kRename
+  };
+
+  Op(KoshaMount& mount, OpKind kind, std::string_view path)
+      : clock(mount.daemon_->runtime().clock),
+        hist(latency_slot(mount, kind)),
+        span(mount.daemon_->runtime().tracer, kNames[static_cast<std::size_t>(kind)],
+             mount.daemon_->host()),
         start(hist == nullptr ? SimDuration{} : clock->now()) {
     if (span.active()) span.tag("path", path);
+  }
+
+  static Histogram* latency_slot(KoshaMount& mount, OpKind kind) {
+    MetricsRegistry* metrics = mount.daemon_->runtime().metrics;
+    if (metrics == nullptr) return nullptr;
+    const auto k = static_cast<std::size_t>(kind);
+    Histogram*& slot = mount.op_latency_[k];
+    if (slot == nullptr) slot = metrics->histogram(std::string(kNames[k]) + ".latency_us");
+    return slot;
   }
 
   template <typename R>
@@ -35,8 +56,6 @@ struct MountOp {
   SpanScope span;
   SimDuration start;
 };
-
-}  // namespace
 
 void KoshaMount::invalidate(std::string_view path) {
   const std::string normalized = normalize_path(path);
@@ -55,7 +74,7 @@ nfs::NfsResult<VirtualHandle> KoshaMount::resolve(std::string_view path) {
   if (const auto it = handle_cache_.find(normalized); it != handle_cache_.end()) {
     return it->second;
   }
-  MountOp op(daemon_->runtime(), "mount.resolve", path, daemon_->host());
+  Op op(*this, OpKind::kResolve, path);
   auto current = daemon_->root();
   if (!current.ok()) return op.finish(current);
   std::string prefix;
@@ -80,7 +99,7 @@ nfs::NfsResult<std::pair<VirtualHandle, std::string>> KoshaMount::parent_of(
 }
 
 nfs::NfsResult<VirtualHandle> KoshaMount::mkdir_p(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.mkdir_p", path, daemon_->host());
+  Op op(*this, OpKind::kMkdirP, path);
   return op.finish(mkdir_p_impl(path));
 }
 
@@ -112,7 +131,7 @@ nfs::NfsResult<VirtualHandle> KoshaMount::mkdir_p_impl(std::string_view path) {
 }
 
 nfs::NfsResult<Unit> KoshaMount::write_file(std::string_view path, std::string_view content) {
-  MountOp op(daemon_->runtime(), "mount.write_file", path, daemon_->host());
+  Op op(*this, OpKind::kWriteFile, path);
   return op.finish(write_file_impl(path, content));
 }
 
@@ -141,7 +160,7 @@ nfs::NfsResult<Unit> KoshaMount::write_file_impl(std::string_view path,
 }
 
 nfs::NfsResult<std::string> KoshaMount::read_file(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.read_file", path, daemon_->host());
+  Op op(*this, OpKind::kReadFile, path);
   return op.finish(read_file_impl(path));
 }
 
@@ -160,7 +179,7 @@ nfs::NfsResult<std::string> KoshaMount::read_file_impl(std::string_view path) {
 }
 
 nfs::NfsResult<fs::Attr> KoshaMount::stat(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.stat", path, daemon_->host());
+  Op op(*this, OpKind::kStat, path);
   return op.finish(stat_impl(path));
 }
 
@@ -182,7 +201,7 @@ nfs::NfsResult<fs::Attr> KoshaMount::stat_impl(std::string_view path) {
 bool KoshaMount::exists(std::string_view path) { return stat(path).ok(); }
 
 nfs::NfsResult<std::vector<fs::DirEntry>> KoshaMount::list(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.list", path, daemon_->host());
+  Op op(*this, OpKind::kList, path);
   const auto handle = resolve(path);
   if (!handle.ok()) return op.finish(nfs::NfsResult<std::vector<fs::DirEntry>>(handle.error()));
   const auto listing = daemon_->readdir(*handle);
@@ -191,7 +210,7 @@ nfs::NfsResult<std::vector<fs::DirEntry>> KoshaMount::list(std::string_view path
 }
 
 nfs::NfsResult<Unit> KoshaMount::remove(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.remove", path, daemon_->host());
+  Op op(*this, OpKind::kRemove, path);
   const auto parent = parent_of(path);
   if (!parent.ok()) return op.finish(nfs::NfsResult<Unit>(parent.error()));
   invalidate(path);
@@ -199,7 +218,7 @@ nfs::NfsResult<Unit> KoshaMount::remove(std::string_view path) {
 }
 
 nfs::NfsResult<Unit> KoshaMount::rmdir(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.rmdir", path, daemon_->host());
+  Op op(*this, OpKind::kRmdir, path);
   const auto parent = parent_of(path);
   if (!parent.ok()) return op.finish(nfs::NfsResult<Unit>(parent.error()));
   invalidate(path);
@@ -207,7 +226,7 @@ nfs::NfsResult<Unit> KoshaMount::rmdir(std::string_view path) {
 }
 
 nfs::NfsResult<Unit> KoshaMount::remove_all(std::string_view path) {
-  MountOp op(daemon_->runtime(), "mount.remove_all", path, daemon_->host());
+  Op op(*this, OpKind::kRemoveAll, path);
   const auto parent = parent_of(path);
   if (!parent.ok()) return op.finish(nfs::NfsResult<Unit>(parent.error()));
   invalidate(path);
@@ -215,7 +234,7 @@ nfs::NfsResult<Unit> KoshaMount::remove_all(std::string_view path) {
 }
 
 nfs::NfsResult<Unit> KoshaMount::rename(std::string_view from, std::string_view to) {
-  MountOp op(daemon_->runtime(), "mount.rename", from, daemon_->host());
+  Op op(*this, OpKind::kRename, from);
   const auto from_parent = parent_of(from);
   if (!from_parent.ok()) return op.finish(nfs::NfsResult<Unit>(from_parent.error()));
   const auto to_parent = parent_of(to);

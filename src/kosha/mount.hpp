@@ -6,6 +6,8 @@
 // absolute virtual paths and drives the daemon's handle-based NFS
 // interface underneath (the way the kernel's NFS client would).
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -14,6 +16,8 @@
 #include "kosha/koshad.hpp"
 
 namespace kosha {
+
+class Histogram;
 
 class KoshaMount {
  public:
@@ -53,8 +57,17 @@ class KoshaMount {
       std::string_view path);
   void invalidate(std::string_view path);
 
+  // The instrumented operations; each indexes Op::kNames in mount.cpp and
+  // a slot of op_latency_.
+  enum class OpKind : std::size_t {
+    kResolve, kMkdirP, kWriteFile, kReadFile, kStat,
+    kList, kRemove, kRmdir, kRemoveAll, kRename, kCount,
+  };
+  /// Per-operation span and latency histogram around a public wrapper.
+  struct Op;
+
   // Uninstrumented bodies; the public wrappers add the per-operation span
-  // and latency histogram (see MountOp in mount.cpp).
+  // and latency histogram (see Op in mount.cpp).
   [[nodiscard]] nfs::NfsResult<VirtualHandle> mkdir_p_impl(std::string_view path);
   [[nodiscard]] nfs::NfsResult<Unit> write_file_impl(std::string_view path,
                                                      std::string_view content);
@@ -63,6 +76,10 @@ class KoshaMount {
 
   Koshad* daemon_;
   std::unordered_map<std::string, VirtualHandle> handle_cache_;
+  /// `<op>.latency_us` per OpKind, looked up in the registry on the op's
+  /// first run with metrics on: later runs skip the name and the search,
+  /// and an op this mount never ran never registers a histogram.
+  std::array<Histogram*, static_cast<std::size_t>(OpKind::kCount)> op_latency_{};
 };
 
 }  // namespace kosha

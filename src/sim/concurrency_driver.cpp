@@ -1,6 +1,8 @@
 #include "sim/concurrency_driver.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,16 +15,9 @@ namespace kosha::sim {
 
 namespace {
 
-/// Deterministic per-file content: depends only on (client, file, size).
-std::string file_content(std::size_t client, std::size_t file, std::size_t bytes) {
-  const std::string stamp =
-      "c" + std::to_string(client) + "f" + std::to_string(file) + ":";
-  std::string out;
-  out.reserve(bytes);
-  while (out.size() < bytes) {
-    out.append(stamp, 0, std::min(stamp.size(), bytes - out.size()));
-  }
-  return out;
+/// The stamp a file's content repeats: depends only on (client, file).
+std::string file_stamp(std::size_t client, std::size_t file) {
+  return "c" + std::to_string(client) + "f" + std::to_string(file) + ":";
 }
 
 struct Client {
@@ -35,6 +30,28 @@ struct Client {
 };
 
 }  // namespace
+
+std::string repeat_stamp(std::string_view stamp, std::size_t bytes) {
+  assert(!stamp.empty());
+  std::string out(bytes, '\0');
+  std::size_t filled = std::min(stamp.size(), bytes);
+  std::memcpy(out.data(), stamp.data(), filled);
+  // The filled prefix is a whole number of stamps until the last copy, so
+  // copying it to its own end keeps the period.
+  while (filled < bytes) {
+    const std::size_t n = std::min(filled, bytes - filled);
+    std::memcpy(out.data() + filled, out.data(), n);
+    filled += n;
+  }
+  return out;
+}
+
+bool is_repeated_stamp(std::string_view got, std::string_view stamp, std::size_t bytes) {
+  assert(!stamp.empty());
+  if (got.size() != bytes) return false;
+  const std::size_t k = std::min(stamp.size(), bytes);
+  return got.substr(0, k) == stamp.substr(0, k) && got.substr(k) == got.substr(0, bytes - k);
+}
 
 WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
                                          const WorkloadConfig& config) {
@@ -98,14 +115,14 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     } else if (op <= config.files_per_client) {
       const std::size_t file = op - 1;
       const std::string path = cl.root + "/f" + std::to_string(file);
-      ok = cl.mount->write_file(path, file_content(c, file, config.file_bytes)).ok();
+      ok = cl.mount->write_file(path, repeat_stamp(file_stamp(c, file), config.file_bytes)).ok();
     } else {
       const std::size_t file =
           zipf ? popularity.sample(cl.zipf_rng)
                : (op - 1 - config.files_per_client) % config.files_per_client;
       const std::string path = cl.root + "/f" + std::to_string(file);
       const auto read = cl.mount->read_file(path);
-      ok = read.ok() && read.value() == file_content(c, file, config.file_bytes);
+      ok = read.ok() && is_repeated_stamp(read.value(), file_stamp(c, file), config.file_bytes);
     }
 
     const SimDuration took = clock.now() - before;

@@ -4,7 +4,11 @@
 //
 // Runs N simulated clients against one cluster, each mounting /kosha on
 // its own host and working in a private /u<c> subtree (mkdir, then a
-// create/write pass, then a read pass that verifies content). Client
+// create/write pass, then a read pass that verifies content). Each file's
+// content is a short per-(client, file) stamp repeated to the file size:
+// the driver builds it only to write it, and checks every read in place
+// against the stamp, so the load generator makes about one pass over a
+// file's bytes per op and never materialises an expected string. Client
 // timelines are interleaved conservatively: the driver always runs the
 // client with the lowest local virtual time next (ties broken by lowest
 // client index), hopping the cluster clock between per-client timelines,
@@ -15,6 +19,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -85,6 +91,19 @@ struct WorkloadResult {
     return ops == 0 ? 0.0 : busy.to_micros() / static_cast<double>(ops);
   }
 };
+
+/// `stamp` repeated to exactly `bytes` bytes (the last copy cut short).
+/// Writes the stamp once, then doubles the filled prefix with `memcpy`.
+/// `stamp` must not be empty.
+[[nodiscard]] std::string repeat_stamp(std::string_view stamp, std::size_t bytes);
+
+/// True iff `got == repeat_stamp(stamp, bytes)`, checked in place: the
+/// size, the first min(k, bytes) bytes against the stamp (k = its size),
+/// and then got[k..] == got[..bytes-k] in one overlapping compare, which
+/// holds iff every byte equals the one k before it. `stamp` must not be
+/// empty.
+[[nodiscard]] bool is_repeated_stamp(std::string_view got, std::string_view stamp,
+                                     std::size_t bytes);
 
 /// Run the workload on `cluster` (which must outlive the call). The
 /// cluster's clock ends at the workload's finish time.

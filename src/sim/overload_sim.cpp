@@ -16,16 +16,8 @@ namespace kosha::sim {
 
 namespace {
 
-/// Deterministic hot-file content: depends only on (file, size).
-std::string hot_content(std::size_t file, std::size_t bytes) {
-  const std::string stamp = "h" + std::to_string(file) + ":";
-  std::string out;
-  out.reserve(bytes);
-  while (out.size() < bytes) {
-    out.append(stamp, 0, std::min(stamp.size(), bytes - out.size()));
-  }
-  return out;
-}
+/// The stamp a hot file's content repeats: depends only on the file.
+std::string hot_stamp(std::size_t file) { return "h" + std::to_string(file) + ":"; }
 
 /// One closed-loop reader. Base agents run for the whole measurement;
 /// spike agents only inside the flash-crowd window.
@@ -74,16 +66,16 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   // One hot anchor: every file under /hot lives on the directory's owner
   // node, so the whole reader population converges on one service queue.
   std::vector<std::string> paths(config.hot_files);
-  std::vector<std::string> contents(config.hot_files);
   {
     KoshaMount setup(&cluster.daemon(hosts[0]));
     (void)setup.mkdir_p("/hot");
     for (std::size_t f = 0; f < config.hot_files; ++f) {
       paths[f] = "/hot/h" + std::to_string(f);
-      contents[f] = hot_content(f, config.file_bytes);
       // A fresh, unloaded cluster cannot reject these, but a half-seeded
       // tree must not be measured as if it were whole.
-      if (!setup.write_file(paths[f], contents[f]).ok()) return result;
+      if (!setup.write_file(paths[f], repeat_stamp(hot_stamp(f), config.file_bytes)).ok()) {
+        return result;
+      }
     }
   }
 
@@ -142,7 +134,8 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
     clock.set_now(a.local);
     const std::size_t file = popularity.sample(a.rng);
     const auto read = a.mount->read_file(paths[file]);
-    const bool ok = read.ok() && read.value() == contents[file];
+    const bool ok =
+        read.ok() && is_repeated_stamp(read.value(), hot_stamp(file), config.file_bytes);
 
     const SimDuration done = clock.now();
     if (done >= t0 && done < t_end) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
+
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "sim/concurrency_driver.hpp"
@@ -26,6 +30,75 @@ sim::WorkloadResult run_workload(const ClusterConfig& config, std::size_t client
   workload.file_bytes = 2048;
   workload.reads_per_file = 1;
   return sim::run_multi_client_workload(cluster, workload);
+}
+
+/// The append loop the driver built each file's content with before
+/// repeat_stamp, kept as the reference the doubling build must equal.
+std::string append_loop(const std::string& stamp, std::size_t bytes) {
+  std::string out;
+  out.reserve(bytes);
+  while (out.size() < bytes) {
+    out.append(stamp, 0, std::min(stamp.size(), bytes - out.size()));
+  }
+  return out;
+}
+
+std::string stamp_of(std::size_t client, std::size_t file) {
+  return "c" + std::to_string(client) + "f" + std::to_string(file) + ":";
+}
+
+TEST(ContentHelpers, RepeatStampEqualsTheAppendLoop) {
+  for (const std::size_t client : {3u, 42u, 999u}) {
+    for (const std::size_t file : {5u, 17u, 256u}) {
+      const std::string stamp = stamp_of(client, file);
+      const std::size_t k = stamp.size();
+      for (const std::size_t bytes :
+           {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1, std::size_t{4095},
+            std::size_t{4096}, std::size_t{4097}, std::size_t{(1u << 20) + 3}}) {
+        const std::string built = sim::repeat_stamp(stamp, bytes);
+        // EXPECT_TRUE, not EXPECT_EQ: a failure must not print a megabyte.
+        EXPECT_TRUE(built == append_loop(stamp, bytes)) << stamp << " x " << bytes;
+        EXPECT_TRUE(sim::is_repeated_stamp(built, stamp, bytes)) << stamp << " x " << bytes;
+      }
+    }
+  }
+}
+
+TEST(ContentHelpers, IsRepeatedStampRejectsNearMisses) {
+  const std::string stamp = stamp_of(12, 3);
+  constexpr std::size_t kBytes = 4096;
+  const std::string good = sim::repeat_stamp(stamp, kBytes);
+  ASSERT_TRUE(sim::is_repeated_stamp(good, stamp, kBytes));
+
+  // A flipped byte anywhere: the first, the middle, the last and every
+  // other position (the first byte of the second copy included).
+  for (std::size_t pos = 0; pos < kBytes; ++pos) {
+    std::string bad = good;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x01);
+    EXPECT_FALSE(sim::is_repeated_stamp(bad, stamp, kBytes)) << "flipped byte " << pos;
+  }
+  // The first copy right and the first byte of every later copy wrong:
+  // only the compare of byte k with byte 0 links the copies to the stamp.
+  std::string relinked = good;
+  for (std::size_t pos = stamp.size(); pos < kBytes; pos += stamp.size()) relinked[pos] = 'x';
+  EXPECT_FALSE(sim::is_repeated_stamp(relinked, stamp, kBytes));
+  // One byte short, and one byte long with the period continued, so only
+  // the size is wrong.
+  EXPECT_FALSE(sim::is_repeated_stamp(good.substr(0, kBytes - 1), stamp, kBytes));
+  EXPECT_FALSE(
+      sim::is_repeated_stamp(sim::repeat_stamp(stamp, kBytes + 1), stamp, kBytes));
+  // Another client's and another file's content of the same size.
+  ASSERT_EQ(stamp_of(13, 3).size(), stamp.size());
+  EXPECT_FALSE(sim::is_repeated_stamp(sim::repeat_stamp(stamp_of(13, 3), kBytes), stamp, kBytes));
+  EXPECT_FALSE(sim::is_repeated_stamp(sim::repeat_stamp(stamp_of(12, 4), kBytes), stamp, kBytes));
+  // A one-byte rotation, either way.
+  EXPECT_FALSE(sim::is_repeated_stamp(good.substr(1) + good[0], stamp, kBytes));
+  EXPECT_FALSE(sim::is_repeated_stamp(good.back() + good.substr(0, kBytes - 1), stamp, kBytes));
+  // Empty content for a non-empty file.
+  EXPECT_FALSE(sim::is_repeated_stamp("", stamp, kBytes));
+  // Content shorter than the stamp is checked as the stamp's prefix.
+  EXPECT_TRUE(sim::is_repeated_stamp(stamp.substr(0, 3), stamp, 3));
+  EXPECT_FALSE(sim::is_repeated_stamp("c13", stamp, 3));
 }
 
 TEST(ConcurrencyDriver, AllOpsSucceedAndContentVerifies) {

@@ -178,5 +178,62 @@ TEST(Observability, EnabledClusterRecordsHotPathInstruments) {
   EXPECT_GT(reg.find_histogram("koshad.overlay.route_hops")->count(), 0u);
 }
 
+/// The `histograms` section of a cluster's exported snapshot.
+JsonValue exported_histograms(KoshaCluster& cluster) {
+  const auto parsed = parse_json(cluster.export_metrics_json());
+  EXPECT_TRUE(parsed.ok()) << parsed.error();
+  const JsonValue* histograms = parsed.ok() ? parsed.value().find("histograms") : nullptr;
+  return histograms == nullptr ? JsonValue{} : *histograms;
+}
+
+ClusterConfig small_metrics_config(bool metrics) {
+  ClusterConfig config;
+  config.nodes = 4;
+  config.seed = 5;
+  config.observability.metrics = metrics;
+  return config;
+}
+
+TEST(Observability, MountExportsOnlyTheOpsItRan) {
+  KoshaCluster cluster(small_metrics_config(true));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.write_file("/a", "one").ok());
+  ASSERT_TRUE(mount.write_file("/a", "two").ok());
+
+  const JsonValue histograms = exported_histograms(cluster);
+  const JsonValue* writes = histograms.find("mount.write_file.latency_us");
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->number_or("count", 0), 2.0);
+  EXPECT_EQ(histograms.find("mount.read_file.latency_us"), nullptr);
+  EXPECT_EQ(histograms.find("mount.stat.latency_us"), nullptr);
+}
+
+TEST(Observability, MountsOnOneDaemonRecordIntoOneHistogram) {
+  KoshaCluster cluster(small_metrics_config(true));
+  KoshaMount first(&cluster.daemon(0));
+  KoshaMount second(&cluster.daemon(0));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(first.write_file("/f" + std::to_string(i), "x").ok());
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(second.write_file("/g" + std::to_string(i), "y").ok());
+  ASSERT_TRUE(second.read_file("/f0").ok());
+
+  const MetricsRegistry& reg = cluster.metrics();
+  ASSERT_NE(reg.find_histogram("mount.write_file.latency_us"), nullptr);
+  EXPECT_EQ(reg.find_histogram("mount.write_file.latency_us")->count(), 5u);
+  ASSERT_NE(reg.find_histogram("mount.read_file.latency_us"), nullptr);
+  EXPECT_EQ(reg.find_histogram("mount.read_file.latency_us")->count(), 1u);
+}
+
+TEST(Observability, MetricsOffMountCreatesNoHistogram) {
+  KoshaCluster cluster(small_metrics_config(false));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/d").ok());
+  ASSERT_TRUE(mount.write_file("/d/a", "one").ok());
+  ASSERT_TRUE(mount.read_file("/d/a").ok());
+  ASSERT_TRUE(mount.stat("/d/a").ok());
+
+  EXPECT_EQ(cluster.metrics().find_histogram("mount.write_file.latency_us"), nullptr);
+  EXPECT_TRUE(exported_histograms(cluster).members().empty());
+}
+
 }  // namespace
 }  // namespace kosha
