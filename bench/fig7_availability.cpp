@@ -14,13 +14,6 @@
 // loss-sensitive operations (multi-RPC writes vs. single-RPC stats) are
 // visible separately.
 //
-// --flashcrowd switches to the overload-control A/B: the same seeded flash
-// crowd with overload control off (must go metastable — goodput pinned
-// below 50% of baseline after the spike) then on (must shed and recover to
-// >= 95%). Knobs: --nodes, --base, --spike, --duration S, --seed, --csv;
-// exits non-zero when either arm breaks its half of the story. The
-// full-knob version with the JSON snapshot is bench/overload_bench.
-//
 // --churn switches to the continuous-churn soak (DESIGN §8): a live
 // self-healing cluster under seeded exponential join/fail arrivals with no
 // failure oracle, reporting time-to-detection, MTTR, read availability and
@@ -43,7 +36,6 @@
 #include "kosha/mount.hpp"
 #include "nfs/wire.hpp"
 #include "sim/availability_sim.hpp"
-#include "sim/overload_sim.hpp"
 
 namespace {
 
@@ -125,61 +117,6 @@ int run_fault_sweep(const kosha::CliArgs& args) {
     std::printf("\nPer-procedure retry/timeout breakdown (procedures with none are "
                 "omitted):\n");
     std::fputs(proc_table.to_string().c_str(), stdout);
-  }
-  return 0;
-}
-
-/// Flash-crowd availability A/B (overload control): the same seeded spike
-/// with overload control off, then on. The uncontrolled arm must go
-/// metastable (goodput pinned below 50% of baseline after the spike ends);
-/// the controlled arm must shed and recover to >= 95%. Exits non-zero when
-/// either fails — bench/overload_bench is the full-knob version of this.
-int run_flash_crowd(const kosha::CliArgs& args) {
-  using namespace kosha;
-  sim::FlashCrowdConfig config;
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.nodes = static_cast<std::size_t>(args.get_int("nodes", 4));
-  config.base_clients = static_cast<std::size_t>(args.get_int("base", 24));
-  config.spike_clients = static_cast<std::size_t>(args.get_int("spike", 60));
-  if (const double d = args.get_double("duration", 0.0); d > 0) {
-    config.duration = SimDuration::seconds(d);
-  }
-
-  std::printf("Flash-crowd A/B: %zu base + %zu spike clients, %zu nodes, "
-              "spike [%.1fs, %.1fs) of %.1fs, seed %llu\n\n",
-              config.base_clients, config.spike_clients, config.nodes,
-              config.spike_start.to_seconds(), config.spike_end.to_seconds(),
-              config.duration.to_seconds(), static_cast<unsigned long long>(config.seed));
-
-  config.controlled = false;
-  const auto uncontrolled = sim::simulate_flash_crowd(config);
-  config.controlled = true;
-  const auto controlled = sim::simulate_flash_crowd(config);
-
-  TextTable table({"arm", "baseline", "spike", "post", "post/base", "recovered", "digest"});
-  for (const auto* arm : {&uncontrolled, &controlled}) {
-    table.add_row({arm == &uncontrolled ? "uncontrolled" : "controlled",
-                   TextTable::fmt(arm->baseline_ops, 1), TextTable::fmt(arm->spike_ops, 1),
-                   TextTable::fmt(arm->post_ops, 1), TextTable::fmt(arm->post_over_baseline, 3),
-                   arm->recovered
-                       ? "yes +" + TextTable::fmt(arm->recovery_after_spike.to_millis(), 0) + "ms"
-                       : "NO",
-                   arm->digest});
-  }
-  std::fputs(table.to_string().c_str(), stdout);
-
-  if (args.get_bool("csv", false)) {
-    std::printf("\n%s\n%s", uncontrolled.timeline_csv.c_str(), controlled.timeline_csv.c_str());
-  }
-
-  if (uncontrolled.post_over_baseline >= 0.5 || !controlled.recovered ||
-      controlled.post_over_baseline < 0.95) {
-    std::fprintf(stderr,
-                 "flash crowd FAILED: uncontrolled post/base %.3f (want < 0.5), controlled "
-                 "recovered=%s post/base %.3f (want >= 0.95)\n",
-                 uncontrolled.post_over_baseline, controlled.recovered ? "yes" : "no",
-                 controlled.post_over_baseline);
-    return 1;
   }
   return 0;
 }
@@ -277,12 +214,11 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (const auto err = args.check_known(
           "runs,seed,files,machines,repair-hours,csv,faults,ops,nodes,churn,replicas,duration,"
-          "fail-mean,join-mean,churn-files,drop,oracle,metrics-out,flashcrowd,base,spike");
+          "fail-mean,join-mean,churn-files,drop,oracle,metrics-out");
       !err.empty()) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
-  if (args.get_bool("flashcrowd", false)) return run_flash_crowd(args);
   if (args.get_bool("churn", false)) return run_churn(args);
   if (args.get_bool("faults", false)) return run_fault_sweep(args);
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 3));

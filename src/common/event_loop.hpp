@@ -26,10 +26,10 @@
 // push with that delay is appended to the lane when its key is not earlier
 // than the lane's tail; any other push goes to the heap. Because ids grow
 // monotonically, this tail rule is all it takes to keep every lane sorted
-// by (when, id), whatever the clock does: after a set_now rewind or under
-// a ClockPauser, now + delay may fall before the tail, and that push simply
-// goes to the heap. Dispatch takes the earliest of the heap's head and the
-// lanes' heads, so the order is exactly the (when, id) order of one heap,
+// by (when, id), whatever the clock does: after a set_now rewind, now +
+// delay may fall before the tail, and that push simply goes to the heap.
+// Dispatch takes the earliest of the heap's head and the lanes' heads, so
+// the order is exactly the (when, id) order of one heap,
 // while fixed-delay traffic costs O(1) per event instead of O(log n). The
 // earliest head is cached between dispatches (and needs no search when the
 // queue was empty), so step() finds it once.

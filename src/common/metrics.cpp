@@ -164,10 +164,4 @@ std::string MetricsRegistry::to_csv() const {
   return out;
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace kosha

@@ -101,8 +101,6 @@ class MetricsRegistry {
   /// Flat CSV: `type,name,field,value` rows in the same sorted order.
   [[nodiscard]] std::string to_csv() const;
 
-  void clear();
-
  private:
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;

@@ -136,4 +136,15 @@ Uint128 Sha1::hash128(std::string_view data) {
   return Uint128::from_bytes(first);
 }
 
+std::string to_hex(const std::array<std::uint8_t, 20>& digest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(digest.size() * 2);
+  for (const std::uint8_t byte : digest) {
+    out += kHex[byte >> 4];
+    out += kHex[byte & 0xF];
+  }
+  return out;
+}
+
 }  // namespace kosha

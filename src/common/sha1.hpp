@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "common/uint128.hpp"
@@ -42,5 +43,9 @@ class Sha1 {
   std::uint64_t total_bytes_ = 0;
   std::size_t buffer_len_ = 0;
 };
+
+/// Lowercase hex of a 20-byte digest (40 characters): the form every
+/// digest the simulators print takes.
+[[nodiscard]] std::string to_hex(const std::array<std::uint8_t, 20>& digest);
 
 }  // namespace kosha

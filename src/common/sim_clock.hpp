@@ -43,56 +43,36 @@ struct SimDuration {
 
 /// Monotonic virtual clock advanced explicitly by the simulation.
 ///
-/// The clock can be paused: advances become no-ops. Three entry points of
-/// background work pause it, because the code they run (leaf-set repair,
-/// routing, brownout stalls) also runs on foreground paths, where it
-/// charges time: PastryOverlay::report_failure, PastryOverlay::reintroduce
-/// and RepairDaemon::tick. Replica copies and mirroring need no pause: they
-/// count their traffic with SimNetwork::count_message.
+/// Only foreground work moves it: the event loop dispatching an event, a
+/// service charging its cost, and koshad waiting out the cost of a Pastry
+/// route (PastryOverlay::route returns the cost; only Koshad::route waits
+/// on it). Background work (membership, leaf-set repair, replica copies,
+/// the repair daemon) never calls advance: it only counts its traffic with
+/// SimNetwork::count_message.
 class SimClock {
  public:
   [[nodiscard]] SimDuration now() const { return now_; }
 
-  void advance(SimDuration d) {
-    if (pause_depth_ == 0) now_ += d;
-  }
+  void advance(SimDuration d) { now_ += d; }
 
-  /// Jump forward to absolute time `t`; no-op when paused or `t <= now`.
+  /// Jump forward to absolute time `t`; no-op when `t <= now`.
   /// Used by the event loop when dispatching an event scheduled at `t`.
   void advance_to(SimDuration t) {
-    if (pause_depth_ == 0 && t > now_) now_ = t;
+    if (t > now_) now_ = t;
   }
 
-  /// Set the clock to exactly `t`, possibly rewinding (no-op when paused).
+  /// Set the clock to exactly `t`, possibly rewinding.
   /// Reserved for code that evaluates alternative timelines branching from
   /// one instant. Its users: the multi-client workload driver and
   /// overload_sim hop between per-client timelines, and koshad's degraded
   /// read starts every replica probe from the same instant and keeps the
   /// earliest success. Components otherwise only ever move time forward.
-  void set_now(SimDuration t) {
-    if (pause_depth_ == 0) now_ = t;
-  }
+  void set_now(SimDuration t) { now_ = t; }
 
   void reset() { now_ = {}; }
 
-  [[nodiscard]] bool paused() const { return pause_depth_ > 0; }
-
  private:
-  friend class ClockPauser;
   SimDuration now_{};
-  int pause_depth_ = 0;
-};
-
-/// RAII pause of a SimClock (nestable).
-class ClockPauser {
- public:
-  explicit ClockPauser(SimClock& clock) : clock_(clock) { ++clock_.pause_depth_; }
-  ~ClockPauser() { --clock_.pause_depth_; }
-  ClockPauser(const ClockPauser&) = delete;
-  ClockPauser& operator=(const ClockPauser&) = delete;
-
- private:
-  SimClock& clock_;
 };
 
 /// Scoped stopwatch over a SimClock.

@@ -207,15 +207,7 @@ std::string audit_digest(KoshaCluster& cluster) {
     absorb(sha, "host:" + std::to_string(host));
     absorb_tree(sha, cluster.server(host).store(), "/");
   }
-  const auto digest = sha.digest();
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    out += kHex[byte >> 4];
-    out += kHex[byte & 0xF];
-  }
-  return out;
+  return to_hex(sha.digest());
 }
 
 }  // namespace kosha

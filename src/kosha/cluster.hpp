@@ -79,7 +79,8 @@ class KoshaCluster {
   KoshaCluster& operator=(const KoshaCluster&) = delete;
 
   /// Add a node contributing `capacity_bytes` (0 = config default).
-  /// Triggers the join protocol and any key-space migration.
+  /// Triggers the join protocol and any key-space migration, as
+  /// background work: the traffic is counted, and the clock does not move.
   net::HostId add_node(std::uint64_t capacity_bytes = 0);
 
   /// Crash a node and record it for detections(). Without self-healing

@@ -42,13 +42,6 @@ struct KoshaConfig {
   /// system. See bench/ablation_read_replicas.
   bool read_from_replicas = false;
 
-  /// Failover ladder depth: how many re-resolve-and-retry rounds koshad
-  /// runs after a retryable RPC error (each attempt already carries the
-  /// NFS client's own retransmission schedule underneath). 1 reproduces
-  /// the paper's retry-once behaviour; >1 survives a promotion racing a
-  /// brownout.
-  unsigned failover_rounds = 2;
-
   /// Per-daemon NFS client retry schedule (see nfs/retry_policy.hpp).
   /// Only transient fault-plan losses are retried, so without a fault
   /// plan this has no effect on behaviour or cost.

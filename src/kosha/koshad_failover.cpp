@@ -9,14 +9,20 @@
 
 #include "kosha/koshad.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 #include "common/metrics.hpp"
 #include "common/path.hpp"
 #include "common/tracing.hpp"
 
 namespace kosha {
+
+namespace {
+
+/// Failover ladder depth: re-resolve-and-retry rounds after a retryable
+/// RPC error (each attempt already carries the NFS client's own
+/// retransmission schedule underneath; see failover_ladder).
+constexpr unsigned kFailoverRounds = 2;
+
+}  // namespace
 
 nfs::NfsStat Koshad::failover_ladder(
     VirtualHandle vh, const std::function<nfs::NfsStat(const Resolved&)>& attempt) {
@@ -39,9 +45,8 @@ nfs::NfsStat Koshad::failover_ladder(
   // operation. One round reproduces the paper's retry-once behaviour;
   // additional rounds survive a promotion racing a brownout, since every
   // re-resolve routes through the overlay's *current* owner.
-  const unsigned rounds = std::max(1u, runtime_->config.failover_rounds);
   unsigned depth = 0;
-  for (unsigned round = 0; round < rounds; ++round) {
+  for (unsigned round = 0; round < kFailoverRounds; ++round) {
     // Deadline propagation reaches the ladder too: once the operation's
     // budget (stamped at handler entry) has passed, the caller has given
     // up — burning more rounds on re-resolves and retries is dead work.
@@ -60,7 +65,7 @@ nfs::NfsStat Koshad::failover_ladder(
     if (span.active()) span.tag("round", std::to_string(depth));
     const auto fresh = resolve_path(path, /*fresh=*/true);
     if (!fresh.ok()) {
-      if (is_error_retryable(fresh.error()) && round + 1 < rounds) {
+      if (is_error_retryable(fresh.error()) && round + 1 < kFailoverRounds) {
         span.status(nfs::to_string(fresh.error()));
         continue;
       }
@@ -95,10 +100,7 @@ std::optional<nfs::NfsResult<nfs::ReadReply>> Koshad::degraded_replica_read(
   SimClock& clock = *runtime_->clock;
   // Probe every replica concurrently: each probe departs at the same
   // instant and the earliest success wins, so the degraded read costs one
-  // probe's latency instead of a sequential scan's. Reads arrive only
-  // through KoshaMount, never from background work under a paused clock,
-  // where the set_now rewinds below would be no-ops.
-  assert(!clock.paused());
+  // probe's latency instead of a sequential scan's.
   const SimDuration t0 = clock.now();
   std::optional<nfs::NfsResult<nfs::ReadReply>> best;
   SimDuration best_finish{};

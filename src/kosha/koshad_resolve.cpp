@@ -18,6 +18,10 @@ namespace kosha {
 
 pastry::RouteResult Koshad::route(pastry::Key key) {
   const auto result = runtime_->overlay->route(host_, key);
+  // Resolution is the one foreground waiter on a route: it waits out the
+  // route's wire time. Background routes (replica reconciliation) only
+  // count their traffic.
+  runtime_->clock->advance(result.cost);
   ++stats_.dht_lookups;
   stats_.dht_hops += result.hops;
   if (route_hops_hist_ != nullptr) route_hops_hist_->record(static_cast<double>(result.hops));

@@ -44,9 +44,6 @@ void RepairDaemon::tick() {
     return;
   }
   ++stats_.ticks;
-  // The whole pass is background traffic: counted, never charged to
-  // whatever foreground operation is in flight (DESIGN §8 invariant).
-  ClockPauser pause(*runtime_->clock);
   SpanScope span(runtime_->tracer, "repair.tick", host_);
   // Priority-aware admission: when this host is already serving a burst of
   // foreground RPCs, skip the pushes this pass (audits still run) — repair

@@ -17,9 +17,10 @@
 //
 // Invariants (DESIGN §8):
 //   * repair traffic is background: counted by NetStats, never charged to
-//     a foreground op (every pass runs under ClockPauser, one of the
-//     clock's three pause sites, because a pass also routes keys, which
-//     charges hops; ReplicaManager's copies only count their messages);
+//     a foreground op. A pass's copies count their messages, and its
+//     routes (reconciling dead primaries, migrating moved anchors) count
+//     their hops and ignore the cost they return, so a pass never moves
+//     the clock;
 //   * repair is idempotent: a pass over a converged node performs audits
 //     only, no mutations;
 //   * repair is rate-limited: at most max_pushes_per_tick anchor pushes

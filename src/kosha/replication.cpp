@@ -382,22 +382,7 @@ bool ReplicaManager::push_anchor_to(pastry::NodeId target, const std::string& an
   return complete;
 }
 
-void ReplicaManager::stall_through_brownout(net::HostId peer) {
-  net::FaultPlan* plan = runtime_->network->fault_plan();
-  if (plan == nullptr || runtime_->clock->paused()) return;
-  for (;;) {
-    const SimDuration now = runtime_->clock->now();
-    SimDuration end = plan->brownout_end(peer, now);
-    if (const SimDuration self = plan->brownout_end(host_, now); self > end) end = self;
-    if (end <= now) return;
-    runtime_->clock->advance(end - now + SimDuration::nanos(1));
-  }
-}
-
 void ReplicaManager::push_all_to(pastry::NodeId target) {
-  if (runtime_->overlay->is_live(target)) {
-    stall_through_brownout(runtime_->overlay->host_of(target));
-  }
   for (const auto& [anchor, name] : primaries_) {
     (void)name;
     if (!push_anchor_to(target, anchor)) return;  // interrupted: flag stays
@@ -680,9 +665,6 @@ void ReplicaManager::promote(pastry::NodeId dead_primary,
       if (peer == nullptr) continue;
       if (peer->resolve(path_child(root, kMigrationFlag)).ok()) continue;  // also incomplete
       if (repairs_ != nullptr) repairs_->inc();
-      // The donor may itself be browned out mid-repair; wait the window
-      // out rather than repairing from an unreachable peer.
-      stall_through_brownout(host);
       for (const auto& [anchor, name] : anchors) {
         (void)name;
         (void)copy_subtree(*runtime_, *peer, root + anchor, store, root + anchor);

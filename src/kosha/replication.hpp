@@ -15,6 +15,10 @@
 //     which promotes its hidden copy to live state (transparent fault
 //     handling; incomplete copies are detected via MIGRATION_NOT_COMPLETE
 //     and repaired from a complete replica).
+// All of it is background work, whoever calls it (a join, a verdict, a
+// repair pass, a foreground mutation): copies count their messages with
+// SimNetwork::count_message, and the routes that find an anchor's owner
+// ignore the cost PastryOverlay::route returns, so the clock never moves.
 
 #include <functional>
 #include <map>
@@ -161,14 +165,6 @@ class ReplicaManager {
   /// replica.mirror.errors metric so staleness is visible, never fatal —
   /// the audit pass re-pushes the anchor.
   void note_mirror_error();
-
-  /// If a fault plan has `peer` (or this host) in a brownout right now,
-  /// advance the virtual clock past the window (chained windows included)
-  /// before starting a repair copy: membership-driven re-replication waits
-  /// for a stalled neighbor instead of replicating into the outage. No-op
-  /// without a fault plan, and while the clock is paused (inside a verdict
-  /// or a repair tick, where waiting could not move the clock anyway).
-  void stall_through_brownout(net::HostId peer);
 
   /// Copy one anchor subtree to a target's hidden area (flag-guarded).
   /// Returns false if interrupted by fault injection.

@@ -42,14 +42,6 @@ bool FaultPlan::in_brownout(HostId host, SimDuration now) const {
   return false;
 }
 
-SimDuration FaultPlan::brownout_end(HostId host, SimDuration now) const {
-  SimDuration end = now;
-  for (const Brownout& b : brownouts_) {
-    if (b.host == host && b.start <= now && now < b.end && b.end > end) end = b.end;
-  }
-  return end;
-}
-
 bool FaultPlan::partitioned(HostId x, HostId y, SimDuration now) const {
   for (const Partition& p : partitions_) {
     if (now < p.start || now >= p.end) continue;

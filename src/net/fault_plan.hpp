@@ -70,9 +70,6 @@ class FaultPlan {
   [[nodiscard]] SimDuration draw_spike();
 
   [[nodiscard]] bool in_brownout(HostId host, SimDuration now) const;
-  /// Latest end of any brownout window covering `now` on `host`
-  /// (`now` itself when none is active).
-  [[nodiscard]] SimDuration brownout_end(HostId host, SimDuration now) const;
   [[nodiscard]] bool partitioned(HostId a, HostId b, SimDuration now) const;
 
   [[nodiscard]] const FaultPlanConfig& config() const { return config_; }

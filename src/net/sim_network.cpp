@@ -19,28 +19,6 @@ HostId SimNetwork::add_host() {
   return static_cast<HostId>(up_.size() - 1);
 }
 
-void SimNetwork::charge_message(HostId src, HostId dst, std::size_t payload_bytes) {
-  count_message(payload_bytes);
-  const SimDuration latency = (src == dst) ? config_.local_latency : config_.hop_latency;
-  clock_->advance(latency + SimDuration::nanos(config_.per_byte.ns *
-                                               static_cast<std::int64_t>(payload_bytes)));
-}
-
-void SimNetwork::charge_rtt(HostId src, HostId dst, std::size_t payload_bytes) {
-  charge_message(src, dst, payload_bytes);
-  charge_message(dst, src, 0);
-}
-
-void SimNetwork::charge_overlay_hop(HostId src, HostId dst) {
-  if (src != dst) ++stats_.overlay_hops;
-  charge_message(src, dst, 0);
-}
-
-void SimNetwork::charge_timeout() {
-  ++stats_.timeouts;
-  clock_->advance(config_.rpc_timeout);
-}
-
 SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
                                               std::size_t payload_bytes, SimDuration at) {
   SimDuration spike{};
@@ -58,12 +36,8 @@ SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
     }
     if (src != dst) spike = fault_plan_->draw_spike();
   }
-  ++stats_.messages;
-  stats_.bytes += payload_bytes;
-  const SimDuration latency = (src == dst) ? config_.local_latency : config_.hop_latency;
-  const SimDuration wire =
-      latency + SimDuration::nanos(config_.per_byte.ns * static_cast<std::int64_t>(payload_bytes));
-  return {true, at + wire + spike};
+  count_message(payload_bytes);
+  return {true, at + wire_time(src, dst, payload_bytes) + spike};
 }
 
 SimNetwork::Admit SimNetwork::admit(HostId host, SimDuration arrival, SimDuration deadline) {

@@ -6,8 +6,11 @@
 // simulator models it as a flat network where every message between two
 // distinct hosts costs one hop latency of virtual time, plus optional
 // per-byte transmission cost. Host liveness is tracked here; an RPC to a
-// dead host costs a timeout. All costs accrue on a shared SimClock, and
-// message/hop counters feed the analytic-model comparison in §6.1.2.
+// dead host costs a timeout. The network never advances the clock itself:
+// RPC messages become delivery events at their planned arrival, a Pastry
+// route returns its wire time for koshad to wait out, and background
+// traffic is only counted. Message/hop counters feed the analytic-model
+// comparison in §6.1.2.
 //
 // Every network carries an event loop over its clock: its own, unless a
 // caller that schedules other work on a shared loop (KoshaCluster, the
@@ -109,7 +112,8 @@ struct NetStats {
   friend bool operator==(const NetStats&, const NetStats&) = default;
 };
 
-/// Flat simulated network: liveness registry + virtual-time cost charging.
+/// Flat simulated network: liveness registry, wire-time model and traffic
+/// accounting.
 class SimNetwork {
  public:
   SimNetwork(NetworkConfig config, SimClock* clock);
@@ -121,14 +125,19 @@ class SimNetwork {
   [[nodiscard]] bool is_up(HostId host) const { return up_.at(host); }
   void set_up(HostId host, bool up) { up_.at(host) = up; }
 
-  /// Charge one one-way message of `payload_bytes` from src to dst.
-  /// Local delivery (src == dst) is free.
-  void charge_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
+  /// Wire time of one one-way message of `payload_bytes` from src to dst:
+  /// hop latency (loopback latency when src == dst) plus per-byte cost.
+  /// Pure: no clock, no counter, no fault draw.
+  [[nodiscard]] SimDuration wire_time(HostId src, HostId dst, std::size_t payload_bytes) const {
+    const SimDuration latency = (src == dst) ? config_.local_latency : config_.hop_latency;
+    return latency +
+           SimDuration::nanos(config_.per_byte.ns * static_cast<std::int64_t>(payload_bytes));
+  }
 
-  /// Count one one-way message in the statistics without advancing the
-  /// clock: the twin of charge_message for background traffic (replica
-  /// mirroring, pushes, audits, migration), which runs off every
-  /// foreground operation's critical path.
+  /// Count one one-way message in the statistics. Background traffic
+  /// (overlay joins and leaf-set exchanges, replica mirroring, pushes,
+  /// audits, migration) and route hops are counted here and never advance
+  /// the clock.
   void count_message(std::size_t payload_bytes) {
     ++stats_.messages;
     stats_.bytes += payload_bytes;
@@ -220,9 +229,9 @@ class SimNetwork {
   /// execute step, which knows both service bounds.
   void note_service_time(HostId host, SimDuration busy);
 
-  /// Count a timeout whose duration elapses as a scheduled event rather
-  /// than an immediate clock advance (the event-driven twin of
-  /// charge_timeout).
+  /// Count a timeout: an RPC's, whose duration elapses as a scheduled
+  /// event, or a dead routing-table entry's, whose rpc_timeout a route adds
+  /// to its cost.
   void note_timeout() { ++stats_.timeouts; }
 
   /// Record one client retransmission of procedure `proc_slot` (kept here
@@ -232,7 +241,7 @@ class SimNetwork {
     if (proc_slot < kNetProcSlots) ++stats_.per_proc[proc_slot].retries;
   }
 
-  /// Attribute one already-charged message to procedure `proc_slot`.
+  /// Attribute one already-counted message to procedure `proc_slot`.
   void note_proc_message(std::size_t proc_slot, std::size_t payload_bytes) {
     if (proc_slot < kNetProcSlots) {
       ++stats_.per_proc[proc_slot].messages;
@@ -240,19 +249,10 @@ class SimNetwork {
     }
   }
 
-  /// Attribute one already-charged timeout to procedure `proc_slot`.
+  /// Attribute one already-counted timeout to procedure `proc_slot`.
   void note_proc_timeout(std::size_t proc_slot) {
     if (proc_slot < kNetProcSlots) ++stats_.per_proc[proc_slot].timeouts;
   }
-
-  /// Charge a request/response round trip.
-  void charge_rtt(HostId src, HostId dst, std::size_t payload_bytes = 0);
-
-  /// Charge one overlay routing hop (message + hop counter).
-  void charge_overlay_hop(HostId src, HostId dst);
-
-  /// Charge the cost of discovering that a host is dead.
-  void charge_timeout();
 
   /// Install the cluster's observability sinks (nullptr = off). The network
   /// is the one object every layer already holds, so it doubles as the

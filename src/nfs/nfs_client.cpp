@@ -107,8 +107,6 @@ template <typename ReplyT, typename Invoke, typename ReplyBytes>
 NfsResult<ReplyT> NfsClient::transact(NfsProc proc, net::HostId server,
                                       std::size_t request_bytes, Invoke&& invoke,
                                       ReplyBytes&& reply_bytes) {
-  // A paused clock would leave the RPC's events stacked at one instant.
-  assert(!network_->clock().paused());
   SpanScope span(network_->tracer(), rpc_span_name(proc), self_);
   if (span.active()) span.tag("server", std::to_string(server));
   const SimDuration start = network_->clock().now();

@@ -5,11 +5,10 @@
 // Destination selection uses the server id embedded in the (opaque) handle.
 // Every RPC runs as events on the network's event loop (call_async); the
 // synchronous API submits one call and drives the loop until it completes.
-// RPCs are foreground work only: the clock must not be paused while one
-// runs. Background work (mirror fan-out, repair, migration) reaches remote
-// stores directly and counts its traffic with SimNetwork::count_message,
-// which never moves the clock. Two failure
-// regimes are distinguished:
+// RPCs are foreground work only. Background work (membership, mirror
+// fan-out, repair, migration) reaches remote stores directly and counts
+// its traffic with SimNetwork::count_message, which never moves the clock.
+// Two failure regimes are distinguished:
 //   * hard-down — the host is marked dead (or its server was erased from
 //     the directory, e.g. retirement): one timeout, kUnreachable, no
 //     retries. This is the error Kosha's transparent fault handling reacts

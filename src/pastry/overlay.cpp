@@ -25,6 +25,19 @@ constexpr std::size_t kStateBytes = 2048;
 /// Initial node-index capacity (a power of two).
 constexpr unsigned kIndexBits = 4;
 
+/// Count one overlay hop: a message, and a hop when it crosses hosts.
+void count_hop(net::SimNetwork& network, net::HostId src, net::HostId dst) {
+  if (src != dst) ++network.stats().overlay_hops;
+  network.count_message(0);
+}
+
+/// Count a request/response exchange of `payload_bytes` (the reply's
+/// payload is not counted).
+void count_rtt(net::SimNetwork& network, std::size_t payload_bytes) {
+  network.count_message(payload_bytes);
+  network.count_message(0);
+}
+
 }  // namespace
 
 PastryOverlay::PastryOverlay(PastryConfig config, net::SimNetwork* network)
@@ -141,16 +154,19 @@ std::optional<NodeId> PastryOverlay::compute_next_hop(const Node& cur, Key key,
 RouteResult PastryOverlay::route(net::HostId from_host, Key key) {
   Node* cur = &node(node_on_host(from_host));
   unsigned hops = 0;
+  SimDuration cost{};
   for (;;) {
     std::vector<NodeId> dead;
     const auto next = compute_next_hop(*cur, key, &dead);
     for (const NodeId d : dead) {
       cur->table.remove(d);
-      network_->charge_timeout();
+      network_->note_timeout();
+      cost += network_->config().rpc_timeout;
     }
-    if (!next.has_value()) return {cur->id, hops};
+    if (!next.has_value()) return {cur->id, hops, cost};
     Node& nx = node(*next);
-    network_->charge_overlay_hop(cur->host, nx.host);
+    count_hop(*network_, cur->host, nx.host);
+    cost += network_->wire_time(cur->host, nx.host, 0);
     cur = &nx;
     if (++hops > 128) throw std::runtime_error("pastry routing did not converge");
   }
@@ -199,14 +215,14 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   Node* boot = &node(ring_.sorted().front().first);
   std::vector<Node*> path{boot};
   Node* cur = boot;
-  network_->charge_message(x.host, boot->host);  // contact the bootstrap
+  network_->count_message(0);  // contact the bootstrap
   for (;;) {
     std::vector<NodeId> dead;
     const auto next = compute_next_hop(*cur, id, &dead);
     for (const NodeId d : dead) cur->table.remove(d);
     if (!next.has_value()) break;
     Node& nx = node(*next);
-    network_->charge_overlay_hop(cur->host, nx.host);
+    count_hop(*network_, cur->host, nx.host);
     cur = &nx;
     path.push_back(cur);
   }
@@ -214,7 +230,7 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   // Build the new node's state from every node on the path (a superset of
   // the classic per-row copy; converges to the same tables).
   for (Node* p : path) {
-    network_->charge_message(p->host, x.host, kStateBytes);
+    network_->count_message(kStateBytes);
     auto offer = [&](NodeId cand) {
       if (!is_live(cand)) return;
       x.table.insert(cand);
@@ -237,7 +253,7 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   for (const NodeId t : targets) {
     if (!is_live(t)) continue;
     Node& peer = node(t);
-    network_->charge_message(x.host, peer.host, kStateBytes / 4);
+    network_->count_message(kStateBytes / 4);
     peer.table.insert(id);
     if (peer.leaves.insert(id)) notify_leaf_change(peer);
   }
@@ -272,7 +288,7 @@ void PastryOverlay::repair_leaf_set(Node& n) {
     }
     if (!is_live(m)) continue;  // a silent peer answers no state pull
     const Node& peer = node(m);
-    network_->charge_rtt(n.host, peer.host, kStateBytes / 4);
+    count_rtt(*network_, kStateBytes / 4);
     n.leaves.insert(peer.id);
     for (const NodeId cand : peer.leaves.members()) {
       if (acceptable(cand)) n.leaves.insert(cand);
@@ -303,9 +319,6 @@ void PastryOverlay::fail(NodeId id) {
 void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
   Node& n = node(observer);
   if (!is_live(observer)) return;
-  // Acting on a verdict is background work: the repair traffic is counted,
-  // never charged to whatever foreground operation is in flight.
-  ClockPauser pause(network_->clock());
   const bool was_member = n.leaves.remove(dead);
   n.table.remove(dead);
   if (!was_member) return;
@@ -317,10 +330,9 @@ void PastryOverlay::report_failure(NodeId observer, NodeId dead) {
 void PastryOverlay::reintroduce(NodeId observer, NodeId peer) {
   Node& n = node(observer);
   if (!is_live(observer) || !is_live(peer)) return;
-  ClockPauser pause(network_->clock());  // background, like report_failure
   // Exchange state with the returning peer (it may have drifted while we
   // shunned it), then fold it back in.
-  network_->charge_rtt(n.host, node(peer).host, kStateBytes / 4);
+  count_rtt(*network_, kStateBytes / 4);
   n.table.insert(peer);
   if (n.leaves.insert(peer)) notify_leaf_change(n);
 }

@@ -7,7 +7,10 @@
 // copying state from the nodes along the path; a failure verdict triggers
 // leaf-set repair at the observer, and dead routing-table entries held
 // elsewhere are detected lazily during routing.
-// All inter-node traffic is charged on the simulated network.
+// All inter-node traffic is counted on the simulated network, and none of
+// it advances the clock: membership and repair are background work, and a
+// route returns its wire time for the caller to wait out (only koshad's
+// resolution does).
 //
 // The overlay keeps a ground-truth Ring of live nodes for verification and
 // for picking deterministic bootstrap nodes; the routing protocol itself
@@ -28,10 +31,13 @@ namespace kosha::pastry {
 
 class FailureDetector;
 
-/// Result of routing a key: the owning node and the overlay hops taken.
+/// Result of routing a key: the owning node, the overlay hops taken, and
+/// the route's wire time (hop latencies plus rpc_timeout per dead
+/// routing-table entry pruned on the way).
 struct RouteResult {
   NodeId owner;
   unsigned hops = 0;
+  SimDuration cost{};
 };
 
 /// Fired on a node when its leaf set membership changes (join or repair).
@@ -49,7 +55,8 @@ class PastryOverlay {
 
   /// Join a new node with identifier `id` living on `host` (one overlay
   /// node per host). Performs the Pastry join protocol against a live
-  /// bootstrap node, charging overlay traffic.
+  /// bootstrap node. Background work: its traffic is counted, and the
+  /// clock does not move.
   void join(NodeId id, net::HostId host);
 
   /// Crash-fail a node with instantaneous verdicts (the oracle, used when
@@ -66,15 +73,15 @@ class PastryOverlay {
   /// `observer` confirmed `dead` as failed: drop it from the observer's
   /// leaf set and routing table, repair the leaf set, fire the observer's
   /// neighbor callback so replication reacts, and tell the failure
-  /// listener. Background work: runs under a paused clock, so the repair
-  /// traffic is counted but charges no time. Safe to call with stale
-  /// verdicts (no-op when already gone).
+  /// listener. Background work: the repair traffic is counted, and the
+  /// clock does not move. Safe to call with stale verdicts (no-op when
+  /// already gone).
   void report_failure(NodeId observer, NodeId dead);
 
   /// `observer` learned that `peer` — which it had declared dead — is in
   /// fact alive (false suspicion healed): fold it back into the observer's
   /// leaf set and routing table and fire the neighbor callback. Background
-  /// work, under a paused clock like report_failure().
+  /// work, counted like report_failure().
   void reintroduce(NodeId observer, NodeId peer);
 
   [[nodiscard]] bool is_live(NodeId id) const;
@@ -85,10 +92,12 @@ class PastryOverlay {
   [[nodiscard]] NodeId node_on_host(net::HostId host) const;
   [[nodiscard]] bool host_has_node(net::HostId host) const;
 
-  /// Route `key` from the node on `from_host`; charges one message per hop.
+  /// Route `key` from the node on `from_host`: counts one message per hop
+  /// and one timeout per dead routing-table entry it prunes, and returns
+  /// the wire time in RouteResult::cost without advancing the clock.
   [[nodiscard]] RouteResult route(net::HostId from_host, Key key);
 
-  /// Route without charging the network (diagnostics / analytics).
+  /// Route without counting or pruning (diagnostics / analytics).
   [[nodiscard]] RouteResult trace_route(NodeId from, Key key) const;
 
   /// The K leaf-set neighbors of `node`, closest first — Kosha's replica

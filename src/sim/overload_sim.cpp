@@ -232,13 +232,7 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
          std::to_string(result.ladder_deadline_aborts) + "\n";
   result.timeline_csv = std::move(csv);
 
-  const auto digest = Sha1::hash(result.timeline_csv);
-  static constexpr char kHex[] = "0123456789abcdef";
-  result.digest.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    result.digest += kHex[byte >> 4];
-    result.digest += kHex[byte & 0xF];
-  }
+  result.digest = to_hex(Sha1::hash(result.timeline_csv));
   return result;
 }
 

@@ -112,24 +112,6 @@ TEST(SimClock, AdvanceAccumulates) {
   EXPECT_DOUBLE_EQ(clock.now().to_millis(), 2.0);
 }
 
-TEST(SimClock, PauserSuppressesAdvances) {
-  SimClock clock;
-  clock.advance(SimDuration::seconds(1));
-  {
-    ClockPauser pause(clock);
-    clock.advance(SimDuration::seconds(100));
-    EXPECT_TRUE(clock.paused());
-    {
-      ClockPauser nested(clock);
-      clock.advance(SimDuration::seconds(100));
-    }
-    clock.advance(SimDuration::seconds(100));
-  }
-  EXPECT_FALSE(clock.paused());
-  clock.advance(SimDuration::seconds(1));
-  EXPECT_DOUBLE_EQ(clock.now().to_seconds(), 2.0);
-}
-
 TEST(SimClock, StopwatchMeasuresWindow) {
   SimClock clock;
   clock.advance(SimDuration::seconds(5));

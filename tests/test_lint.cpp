@@ -295,8 +295,8 @@ struct RepairDaemon {
 }
 
 TEST(LintD3, FlagsRepairTickMutatingTheClock) {
-  // A daemon tick must never warp virtual time; background work pauses the
-  // clock (ClockPauser), it does not set it.
+  // A daemon tick must never warp virtual time; background work only
+  // counts its traffic, it does not set the clock.
   const auto diags = lint_one("src/kosha/bad_repair.cpp", R"cpp(
 void RepairDaemon::schedule_tick(EventLoop& loop, SimClock& clock, SimDuration t) {
   loop.schedule_after(t, [&] { clock.set_now(t); tick(); });

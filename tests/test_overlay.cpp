@@ -1,8 +1,10 @@
 // Pastry overlay integration tests: joins, routing consistency against the
-// ground-truth ring, hop-count scaling, failure repair, and callbacks.
+// ground-truth ring, hop-count scaling, route cost, failure repair, and
+// callbacks.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/event_loop.hpp"
@@ -305,16 +307,59 @@ TEST(Overlay, MarkDeadClearsLivenessDetectorAndHost) {
   EXPECT_THROW(fx.overlay.mark_dead(fx.rng.next_id()), std::invalid_argument);
 }
 
-TEST(Overlay, RouteChargesNetworkTime) {
+TEST(Overlay, RouteReturnsItsWireTimeAndLeavesTheClock) {
   Fixture fx(44);
   fx.join(16);
-  const auto before = fx.clock.now();
+  EXPECT_EQ(fx.clock.now().ns, 0);  // joins are background work
+  const SimDuration hop = fx.network.wire_time(0, 1, 0);
   std::uint64_t hops = 0;
-  for (int i = 0; i < 50; ++i) hops += fx.overlay.route(0, fx.rng.next_id()).hops;
-  if (hops > 0) {
-    EXPECT_GT(fx.clock.now().ns, before.ns);
+  for (int i = 0; i < 50; ++i) {
+    const net::NetStats stats = fx.network.stats();
+    const auto result = fx.overlay.route(0, fx.rng.next_id());
+    hops += result.hops;
+    EXPECT_EQ(fx.network.stats().overlay_hops - stats.overlay_hops, result.hops);
+    EXPECT_EQ(fx.network.stats().messages - stats.messages, result.hops);
+    EXPECT_EQ(fx.network.stats().timeouts, stats.timeouts);
+    // One node per host, so every hop crosses the wire.
+    EXPECT_EQ(result.cost, hop * static_cast<std::int64_t>(result.hops));
   }
-  EXPECT_GE(fx.network.stats().overlay_hops, hops);
+  EXPECT_GT(hops, 0u);
+  EXPECT_EQ(fx.clock.now().ns, 0);
+}
+
+TEST(Overlay, RouteCostAddsATimeoutPerDeadEntryItPrunes) {
+  Fixture fx(51);
+  fx.join(256);
+  // Find a key that the node on host 0 forwards through a routing-table
+  // entry (outside its leaf set's range), then crash that entry silently:
+  // no verdict, so it stays in the table until a route trips over it.
+  const NodeId from = fx.overlay.node_on_host(0);
+  std::optional<Key> key;
+  NodeId victim;
+  for (int i = 0; i < 1000 && !key; ++i) {
+    const Key k = fx.rng.next_id();
+    if (fx.overlay.leaf_set(from).covers(k)) continue;
+    if (const auto nh = fx.overlay.routing_table(from).next_hop(k); nh.has_value()) {
+      key = k;
+      victim = *nh;
+    }
+  }
+  ASSERT_TRUE(key.has_value());
+  fx.overlay.mark_dead(victim);
+  ASSERT_TRUE(fx.overlay.routing_table(from).contains(victim));
+
+  const net::NetStats stats = fx.network.stats();
+  const auto result = fx.overlay.route(0, *key);
+  const std::uint64_t timeouts = fx.network.stats().timeouts - stats.timeouts;
+  EXPECT_GE(timeouts, 1u);
+  EXPECT_FALSE(fx.overlay.routing_table(from).contains(victim));  // pruned
+  EXPECT_EQ(result.owner, fx.overlay.ring().owner(*key));
+  EXPECT_EQ(fx.network.stats().overlay_hops - stats.overlay_hops, result.hops);
+  const SimDuration hop = fx.network.wire_time(0, 1, 0);
+  EXPECT_EQ(result.cost, hop * static_cast<std::int64_t>(result.hops) +
+                             fx.network.config().rpc_timeout *
+                                 static_cast<std::int64_t>(timeouts));
+  EXPECT_EQ(fx.clock.now().ns, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "kosha/audit.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
+#include "kosha/placement.hpp"
 #include "nfs/nfs_server.hpp"
 #include "sim/availability_sim.hpp"
 
@@ -120,6 +122,79 @@ TEST(RepairDaemon, ScrubRepairsOutOfBandReplicaLoss) {
   EXPECT_GT(pushed, 0u);
   const auto audit = audit_cluster(cluster);
   EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+TEST(RepairDaemon, PassesAndVerdictsLeaveTheClockAlone) {
+  // Background work never moves the clock, with no pause around it: a
+  // repair pass re-pushes a lost copy, passes after a crash route the
+  // dead primary's anchors to their new owners, and verdicts about it
+  // repair leaf sets. All of it is counted.
+  KoshaCluster cluster(self_heal_config(8, 81));
+  KoshaMount mount(&cluster.daemon(0));
+  ASSERT_TRUE(mount.mkdir_p("/rd/a").ok());
+  const std::string content = "scrub-me-81";
+  ASSERT_TRUE(mount.write_file("/rd/a/f", content).ok());
+  const auto vh = mount.resolve("/rd/a/f");
+  ASSERT_TRUE(vh.ok());
+  const net::HostId primary = cluster.daemon(0).handle_table().find(*vh)->real.server;
+  net::HostId victim = net::kInvalidHost;
+  for (const net::HostId host : holders(cluster, content)) {
+    if (host != primary) victim = host;
+  }
+  ASSERT_NE(victim, net::kInvalidHost);
+  vandalize_copy(cluster, victim, content);
+
+  RepairDaemon* daemon = cluster.repair_daemon(primary);
+  ASSERT_NE(daemon, nullptr);
+  const SimDuration before = cluster.clock().now();
+  net::NetStats stats = cluster.network().stats();
+  daemon->tick();
+  EXPECT_EQ(cluster.clock().now().ns, before.ns);
+  EXPECT_GT(daemon->stats().pushed, 0u);
+  EXPECT_EQ(holders(cluster, content).size(), 3u);
+  EXPECT_GT(cluster.network().stats().messages, stats.messages);
+  EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
+
+  const pastry::NodeId dead = cluster.node_id(primary);
+  const AnchorMap anchors = cluster.replicas(primary).primaries();
+  cluster.fail_node(primary);  // self-healing: no verdict yet
+  // Passes on the survivors route the dead primary's anchors to their new
+  // owners. Non-owners pass first, so a holder that owns nothing routes
+  // over the wire and hands its copy off.
+  std::set<net::HostId> owners;
+  for (const auto& [anchor, name] : anchors) {
+    owners.insert(cluster.overlay().host_of(cluster.overlay().ring().owner(key_for_name(name))));
+  }
+  std::vector<net::HostId> order;
+  for (const net::HostId host : cluster.live_hosts()) {
+    if (owners.count(host) == 0) order.push_back(host);
+  }
+  order.insert(order.end(), owners.begin(), owners.end());
+  stats = cluster.network().stats();
+  std::uint64_t handed_off = 0;
+  for (const net::HostId host : order) {
+    RepairDaemon* survivor = cluster.repair_daemon(host);
+    ASSERT_NE(survivor, nullptr);
+    survivor->tick();
+    handed_off += survivor->stats().handed_off;
+  }
+  EXPECT_GT(handed_off, 0u);
+  EXPECT_EQ(cluster.clock().now().ns, before.ns);
+  EXPECT_GT(cluster.network().stats().overlay_hops, stats.overlay_hops);
+
+  stats = cluster.network().stats();
+  std::size_t verdicts = 0;
+  for (const net::HostId host : cluster.live_hosts()) {
+    const pastry::NodeId observer = cluster.node_id(host);
+    if (!cluster.overlay().leaf_set(observer).contains(dead)) continue;
+    cluster.overlay().report_failure(observer, dead);
+    ++verdicts;
+  }
+  EXPECT_GT(verdicts, 0u);
+  EXPECT_EQ(cluster.clock().now().ns, before.ns);
+  EXPECT_GT(cluster.network().stats().messages, stats.messages);
+  // A survivor promoted its copy: the file reads back through the ladder.
+  EXPECT_EQ(mount.read_file("/rd/a/f").value(), content);
 }
 
 TEST(RepairDaemon, ZeroPushBudgetReportsButNeverRepairs) {

@@ -452,8 +452,8 @@ TEST(Replication, BackgroundMirroringNeverDelaysForeground) {
 
 TEST(Replication, BackgroundCopiesAreCountedNotClocked) {
   // Anchor pushes and migrations are background work even when called
-  // straight from foreground code with no paused clock around them: their
-  // messages and bytes are counted, and the clock stays where it was.
+  // straight from foreground code: their messages and bytes are counted,
+  // and the clock stays where it was.
   KoshaCluster cluster(config_for(6, 2));
   KoshaMount mount(&cluster.daemon(0));
   ASSERT_TRUE(mount.mkdir_p("/bg").ok());
@@ -463,7 +463,6 @@ TEST(Replication, BackgroundCopiesAreCountedNotClocked) {
   const std::string stored = stored_path({"bg"}, 1, "bg");
   ASSERT_EQ(rm.primaries().count(stored), 1u);
   ASSERT_EQ(rm.targets().size(), 2u);
-  ASSERT_FALSE(cluster.clock().paused());
 
   const SimDuration before = cluster.clock().now();
   net::NetStats stats = cluster.network().stats();
@@ -478,6 +477,38 @@ TEST(Replication, BackgroundCopiesAreCountedNotClocked) {
   EXPECT_GT(cluster.network().stats().messages, stats.messages);
   EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
   EXPECT_EQ(rm.primaries().count(stored), 0u);
+}
+
+TEST(Replication, JoinsAreCountedNotClocked) {
+  // A join is background work: the joiner's overlay traffic and every
+  // peer's replica reaction (re-targeted pushes, anchor migration to the
+  // joiner and the routes that find it) are counted, and the clock stays
+  // where it was.
+  KoshaCluster cluster(config_for(6, 2));
+  KoshaMount mount(&cluster.daemon(0));
+  std::vector<std::string> contents;
+  for (int i = 0; i < 16; ++i) {
+    const std::string dir = "/join" + std::to_string(i);
+    ASSERT_TRUE(mount.mkdir_p(dir).ok());
+    contents.push_back(std::string(512, static_cast<char>('a' + i)));
+    ASSERT_TRUE(mount.write_file(dir + "/f", contents.back()).ok());
+  }
+
+  std::size_t migrated = 0;
+  for (int j = 0; j < 4; ++j) {
+    const SimDuration before = cluster.clock().now();
+    const net::NetStats stats = cluster.network().stats();
+    const net::HostId joined = cluster.add_node();
+    EXPECT_EQ(cluster.clock().now().ns, before.ns) << "join " << j;
+    EXPECT_GT(cluster.network().stats().messages, stats.messages);
+    EXPECT_GT(cluster.network().stats().bytes, stats.bytes);
+    EXPECT_GT(cluster.network().stats().overlay_hops, stats.overlay_hops);
+    migrated += cluster.replicas(joined).primaries().size();
+  }
+  EXPECT_GT(migrated, 0u);  // some joins took anchors over
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(mount.read_file("/join" + std::to_string(i) + "/f").value(), contents[i]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,18 @@ TEST(Sha1, FipsVectorAbc) {
   EXPECT_EQ(hex_digest(Sha1::hash("abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
+TEST(Sha1, ToHexIsLowercaseAndMatchesPrintf) {
+  EXPECT_EQ(to_hex(Sha1::hash("abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  std::array<std::uint8_t, 20> edges{};
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    edges[i] = static_cast<std::uint8_t>(i * 37 % 256);
+  }
+  edges[0] = 0x00;
+  edges[19] = 0xFF;
+  EXPECT_EQ(to_hex(edges), hex_digest(edges));
+  EXPECT_EQ(to_hex(edges).size(), 40u);
+}
+
 TEST(Sha1, FipsVectorTwoBlockMessage) {
   EXPECT_EQ(hex_digest(Sha1::hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");

@@ -238,8 +238,8 @@ void CallGraph::build(const Index& idx) {
   // Named roots: the dispatch loop itself and the SimNetwork
   // service/delivery surface.
   static const char* kNamedRoots[] = {
-      "EventLoop::step",         "SimNetwork::charge_message", "SimNetwork::plan_message",
-      "SimNetwork::admit",       "SimNetwork::begin_service",  "SimNetwork::end_service"};
+      "EventLoop::step", "SimNetwork::plan_message", "SimNetwork::admit",
+      "SimNetwork::begin_service", "SimNetwork::end_service"};
   for (const char* name : kNamedRoots) {
     const int n = find_node(name);
     if (n >= 0) event_roots_.insert(n);
