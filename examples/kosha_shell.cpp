@@ -84,7 +84,7 @@ int main() {
     } else if (command == "cat") {
       const auto content = mount.read_file(arg1);
       if (content.ok()) {
-        std::printf("%s\n", content->c_str());
+        std::printf("%.*s\n", static_cast<int>(content->size()), content->data());
       } else {
         print_status("cat", content.error());
       }

@@ -31,7 +31,8 @@ int main() {
   (void)mount.write_file("/alice/src/kosha/main.c", "int main() { return 0; }");
 
   const auto text = mount.read_file("/alice/papers/sc04.txt");
-  std::printf("read back: \"%s\"\n\n", text.ok() ? text->c_str() : "<error>");
+  const std::string_view shown = text.ok() ? text->view() : "<error>";
+  std::printf("read back: \"%.*s\"\n\n", static_cast<int>(shown.size()), shown.data());
 
   // 3. The same namespace is visible from every other host.
   KoshaMount other(&cluster.daemon(5));

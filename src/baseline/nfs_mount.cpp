@@ -84,15 +84,17 @@ nfs::NfsResult<Unit> NfsMount::write_file(std::string_view path, std::string_vie
   return Unit{};
 }
 
-nfs::NfsResult<std::string> NfsMount::read_file(std::string_view path) {
+nfs::NfsResult<fs::Bytes> NfsMount::read_file(std::string_view path) {
   const auto handle = resolve(path);
   if (!handle.ok()) return handle.error();
-  std::string out;
+  // On the flat backend each READ slices the inode's buffer, so the slices
+  // of an unchanged file are adjacent and append only widens the view.
+  fs::Bytes out;
   constexpr std::uint32_t kChunk = 64 * 1024;
   for (;;) {
     const auto chunk = client_.read(*handle, out.size(), kChunk);
     if (!chunk.ok()) return chunk.error();
-    out += chunk->data.view();
+    out.append(chunk->data);
     if (chunk->eof || chunk->data.empty()) break;
   }
   return out;

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fs/bytes.hpp"
 #include "nfs/nfs_client.hpp"
 
 namespace kosha::baseline {
@@ -28,7 +29,7 @@ class NfsMount {
   [[nodiscard]] nfs::NfsResult<nfs::FileHandle> mkdir_p(std::string_view path);
   [[nodiscard]] nfs::NfsResult<Unit> write_file(std::string_view path,
                                                 std::string_view content);
-  [[nodiscard]] nfs::NfsResult<std::string> read_file(std::string_view path);
+  [[nodiscard]] nfs::NfsResult<fs::Bytes> read_file(std::string_view path);
   [[nodiscard]] nfs::NfsResult<fs::Attr> stat(std::string_view path);
   [[nodiscard]] bool exists(std::string_view path);
   [[nodiscard]] nfs::NfsResult<std::vector<fs::DirEntry>> list(std::string_view path);

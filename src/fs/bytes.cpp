@@ -68,4 +68,17 @@ std::size_t Bytes::resize(std::uint64_t size) {
   return copied;
 }
 
+std::size_t Bytes::append(const Bytes& next) {
+  if (next.empty()) return 0;
+  if (empty()) {
+    *this = next;
+    return 0;
+  }
+  if (buffer_ == next.buffer_ && offset_ + size_ == next.offset_) {
+    size_ += next.size_;
+    return 0;
+  }
+  return write(size_, next);
+}
+
 }  // namespace kosha::fs

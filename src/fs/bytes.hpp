@@ -6,11 +6,13 @@
 // A file's bytes are copied once, where they enter the system (the mount,
 // the POSIX layer, the baseline NFS mount), and every later holder shares
 // that buffer by reference: koshad, the WRITE RPC's invoke closure, the
-// primary's inode, each mirror's inode and each outstanding read slice.
+// primary's inode, each mirror's inode, each outstanding read slice and
+// the whole-file read that stitches those slices back together (append
+// widens a view over adjacent slices of one buffer instead of copying).
 // This is the IPFS idea in PAPERS.md — content shared by reference to an
 // immutable object — applied to one simulated process.
 //
-// Bytes has value semantics. The mutators (write, resize) are
+// Bytes has value semantics. The mutators (write, resize, append) are
 // copy-on-write: they work in place when this object holds the only
 // reference to its buffer, and copy the viewed bytes into a fresh buffer
 // when anything else shares it, so a mutation through one holder never
@@ -69,6 +71,12 @@ class Bytes {
   /// Shrink, or grow with zeros. Returns the bytes copied out of a shared
   /// buffer (0 in place; shrinking to 0 just lets go of the buffer).
   std::size_t resize(std::uint64_t size);
+  /// Add `next`'s bytes at the end. When `next` starts where this view
+  /// ends in the same buffer the view just widens, and when this is empty
+  /// it shares `next`; neither copies. Otherwise the bytes are appended
+  /// copy-on-write, like write(size(), next). Returns the bytes copied out
+  /// of a shared buffer.
+  std::size_t append(const Bytes& next);
 
   friend bool operator==(const Bytes& a, std::string_view b) { return a.view() == b; }
 

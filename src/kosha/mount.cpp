@@ -159,20 +159,22 @@ nfs::NfsResult<Unit> KoshaMount::write_file_impl(std::string_view path,
   return Unit{};
 }
 
-nfs::NfsResult<std::string> KoshaMount::read_file(std::string_view path) {
+nfs::NfsResult<fs::Bytes> KoshaMount::read_file(std::string_view path) {
   Op op(*this, OpKind::kReadFile, path);
   return op.finish(read_file_impl(path));
 }
 
-nfs::NfsResult<std::string> KoshaMount::read_file_impl(std::string_view path) {
+nfs::NfsResult<fs::Bytes> KoshaMount::read_file_impl(std::string_view path) {
   const auto file = resolve(path);
   if (!file.ok()) return file.error();
-  std::string out;
+  // On the flat backend each READ slices the inode's buffer, so the slices
+  // of an unchanged file are adjacent and append only widens the view.
+  fs::Bytes out;
   constexpr std::uint32_t kChunk = 64 * 1024;
   for (;;) {
     const auto chunk = daemon_->read(*file, out.size(), kChunk);
     if (!chunk.ok()) return chunk.error();
-    out += chunk->data.view();
+    out.append(chunk->data);
     if (chunk->eof || chunk->data.empty()) break;
   }
   return out;

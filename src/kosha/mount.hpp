@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fs/bytes.hpp"
 #include "kosha/koshad.hpp"
 
 namespace kosha {
@@ -36,8 +37,11 @@ class KoshaMount {
   [[nodiscard]] nfs::NfsResult<Unit> write_file(std::string_view path,
                                                 std::string_view content);
 
-  /// Read a whole file.
-  [[nodiscard]] nfs::NfsResult<std::string> read_file(std::string_view path);
+  /// Read a whole file. On the flat backend, when every READ is served
+  /// by one replica, the result shares that replica's buffer; otherwise
+  /// the slices are copied together. Either way it is a snapshot: a later
+  /// write copies rather than mutating a shared buffer.
+  [[nodiscard]] nfs::NfsResult<fs::Bytes> read_file(std::string_view path);
 
   [[nodiscard]] nfs::NfsResult<fs::Attr> stat(std::string_view path);
   [[nodiscard]] bool exists(std::string_view path);
@@ -71,7 +75,7 @@ class KoshaMount {
   [[nodiscard]] nfs::NfsResult<VirtualHandle> mkdir_p_impl(std::string_view path);
   [[nodiscard]] nfs::NfsResult<Unit> write_file_impl(std::string_view path,
                                                      std::string_view content);
-  [[nodiscard]] nfs::NfsResult<std::string> read_file_impl(std::string_view path);
+  [[nodiscard]] nfs::NfsResult<fs::Bytes> read_file_impl(std::string_view path);
   [[nodiscard]] nfs::NfsResult<fs::Attr> stat_impl(std::string_view path);
 
   Koshad* daemon_;

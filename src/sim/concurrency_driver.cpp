@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -93,15 +96,15 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
   // Conservative discrete-event interleaving: always advance the client
   // with the lowest local time (lowest index on ties), so storage-node
   // service queues see arrivals in timestamp order and the schedule is a
-  // pure function of the cluster seed.
+  // pure function of the cluster seed. A min-heap of (local time, index)
+  // holds every client with ops left; a client is re-queued after each op.
+  using Ready = std::pair<SimDuration, std::size_t>;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  for (std::size_t c = 0; c < clients.size(); ++c) ready.emplace(clients[c].local, c);
   SimDuration finish = t0;
-  for (;;) {
-    std::size_t pick = clients.size();
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      if (clients[c].next_op >= clients[c].total_ops) continue;
-      if (pick == clients.size() || clients[c].local < clients[pick].local) pick = c;
-    }
-    if (pick == clients.size()) break;  // every client is done
+  while (!ready.empty()) {
+    const std::size_t pick = ready.top().second;
+    ready.pop();
 
     Client& cl = clients[pick];
     clock.set_now(cl.local);
@@ -133,6 +136,7 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     result.busy += took;
     if (took > result.max_op) result.max_op = took;
     if (op_latency != nullptr) op_latency->record(took.to_micros());
+    if (cl.next_op < cl.total_ops) ready.emplace(cl.local, pick);
   }
 
   // Leave the cluster clock at the workload's end: the latest client finish.

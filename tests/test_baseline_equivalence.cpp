@@ -29,7 +29,7 @@ std::map<std::string, std::string> snapshot(Mount& mount, const std::string& pat
       out.insert(sub.begin(), sub.end());
     } else {
       const auto content = mount.read_file(child);
-      out[child] = "file:" + (content.ok() ? content.value() : "<unreadable>");
+      out[child] = "file:" + std::string(content.ok() ? content->view() : "<unreadable>");
     }
   }
   return out;

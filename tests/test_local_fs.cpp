@@ -490,5 +490,91 @@ TEST(Bytes, ValueSemantics) {
   EXPECT_EQ(self, "0123456789abcde0123456789abcdefghij");
 }
 
+TEST(Bytes, AppendWidensAdjacentSlicesOfOneBuffer) {
+  const Bytes file(std::string("0123456789abcdefghij"));
+  Bytes out;
+  EXPECT_EQ(out.append(file.slice(0, 8)), 0u);
+  EXPECT_EQ(out.append(file.slice(8, 8)), 0u);
+  EXPECT_EQ(out.append(file.slice(16, 8)), 0u);
+  EXPECT_EQ(out, "0123456789abcdefghij");
+  EXPECT_TRUE(out.shares_buffer_with(file));
+  EXPECT_EQ(out.data(), file.data());
+  // Adjacency is by position in the buffer, not by whole-file offsets.
+  Bytes mid = file.slice(4, 4);
+  EXPECT_EQ(mid.append(file.slice(8, 2)), 0u);
+  EXPECT_EQ(mid, "456789");
+  EXPECT_TRUE(mid.shares_buffer_with(file));
+}
+
+TEST(Bytes, AppendCopiesAcrossAGapOrAnotherBuffer) {
+  const Bytes file(std::string("0123456789abcdefghij"));
+  Bytes gap = file.slice(0, 4);
+  EXPECT_EQ(gap.append(file.slice(5, 3)), 4u);  // the shared head is copied out
+  EXPECT_EQ(gap, "0123567");
+  EXPECT_FALSE(gap.shares_buffer_with(file));
+  // Now private: further appends, from any buffer, run in place.
+  const Bytes other(std::string("KLMNOPQRSTUVWXYZ"));
+  EXPECT_EQ(gap.append(other.slice(0, 3)), 0u);
+  EXPECT_EQ(gap, "0123567KLM");
+  EXPECT_FALSE(gap.shares_buffer_with(other));
+  // A slice of another buffer is copied even where its offset lines up.
+  Bytes lined_up = file.slice(0, 4);
+  lined_up.append(other.slice(4, 3));
+  EXPECT_EQ(lined_up, "0123OPQ");
+  // Chunks that each arrive in a fresh buffer (a CAS read) concatenate.
+  Bytes chunks;
+  for (const char* chunk : {"first chunk, ", "second chunk, ", "third"}) {
+    chunks.append(Bytes(std::string(chunk)));
+  }
+  EXPECT_EQ(chunks, "first chunk, second chunk, third");
+  // A slice of the same buffer that does not start where the view ends is
+  // copied too.
+  Bytes before = file.slice(0, 4);
+  before.append(file.slice(0, 4));
+  EXPECT_EQ(before, "01230123");
+  EXPECT_EQ(file, "0123456789abcdefghij");
+}
+
+TEST(Bytes, AppendNeverChangesWhatOtherHoldersSee) {
+  const Bytes file(std::string("0123456789abcdefghij"));
+  const Bytes held = file.slice(0, 10);
+  Bytes grown = held;
+  grown.append(Bytes(std::string("XYZ")));
+  EXPECT_EQ(grown, "0123456789XYZ");
+  EXPECT_EQ(held, "0123456789");
+  EXPECT_EQ(file, "0123456789abcdefghij");
+  // Widening over the buffer another holder views leaves that view as is.
+  Bytes wide = held;
+  wide.append(file.slice(10, 5));
+  EXPECT_EQ(wide, "0123456789abcde");
+  EXPECT_EQ(held, "0123456789");
+  EXPECT_TRUE(wide.shares_buffer_with(held));
+  // A widened view is still copy-on-write.
+  EXPECT_EQ(wide.write(0, "W"), wide.size());
+  EXPECT_EQ(wide, "W123456789abcde");
+  EXPECT_EQ(file, "0123456789abcdefghij");
+  // Appending an object to itself reads the bytes before reshaping them.
+  Bytes self(std::string("abc"));
+  self.append(self);
+  EXPECT_EQ(self, "abcabc");
+}
+
+TEST(Bytes, AppendWithAnEmptySide) {
+  const Bytes file(std::string("0123456789abcdefghij"));
+  Bytes out;
+  EXPECT_EQ(out.append(Bytes{}), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(out.shares_buffer_with(file));
+  // An empty object shares whatever it is handed, even a slice.
+  EXPECT_EQ(out.append(file.slice(3, 4)), 0u);
+  EXPECT_EQ(out, "3456");
+  EXPECT_TRUE(out.shares_buffer_with(file));
+  // Appending nothing leaves the view and its buffer alone.
+  EXPECT_EQ(out.append(Bytes{}), 0u);
+  EXPECT_EQ(out.append(file.slice(100, 4)), 0u);
+  EXPECT_EQ(out, "3456");
+  EXPECT_TRUE(out.shares_buffer_with(file));
+}
+
 }  // namespace
 }  // namespace kosha::fs

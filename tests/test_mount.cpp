@@ -16,12 +16,13 @@ struct Fixture {
   KoshaCluster cluster;
   KoshaMount mount;
 
-  Fixture()
-      : cluster([] {
+  explicit Fixture(fs::BackendKind backend = fs::BackendKind::kFlat)
+      : cluster([backend] {
           ClusterConfig config;
           config.nodes = 6;
           config.kosha.distribution_level = 2;
           config.kosha.replicas = 1;
+          config.kosha.storage.backend = backend;
           config.seed = 17;
           return config;
         }()),
@@ -129,6 +130,67 @@ struct SessionStep {
   std::uint32_t last_xid = 0;
   std::uint64_t net_bytes = 0;
 };
+
+// Whole-file reads on both storage backends: the flat store hands out
+// slices of one buffer, the content-addressed store a fresh buffer per
+// READ, and either way a result is a snapshot of the file.
+class MountRead : public ::testing::TestWithParam<fs::BackendKind> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, MountRead,
+                         ::testing::Values(fs::BackendKind::kFlat, fs::BackendKind::kCas),
+                         [](const auto& info) { return std::string(fs::to_string(info.param)); });
+
+// About 200 KiB: four 64 KiB READs, the last one short.
+constexpr std::size_t kFourChunks = 200 * 1024;
+
+TEST_P(MountRead, RepeatedReadsReturnTheSameBytes) {
+  Fixture fx(GetParam());
+  const std::string content = trace::mab_content(kFourChunks, 5);
+  ASSERT_TRUE(fx.mount.mkdir_p("/r").ok());
+  ASSERT_TRUE(fx.mount.write_file("/r/f", content).ok());
+  const auto first = fx.mount.read_file("/r/f");
+  const auto second = fx.mount.read_file("/r/f");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value(), content);
+  EXPECT_EQ(second.value(), content);
+  // The flat store's slices are adjacent in the primary's buffer, so both
+  // reads stitch them into a view of that one buffer, copying nothing.
+  if (GetParam() == fs::BackendKind::kFlat) {
+    EXPECT_TRUE(first->shares_buffer_with(second.value()));
+  }
+}
+
+TEST_P(MountRead, ResultIsASnapshotAcrossOverwriteAndTruncate) {
+  Fixture fx(GetParam());
+  const std::string content = trace::mab_content(kFourChunks, 9);
+  ASSERT_TRUE(fx.mount.mkdir_p("/s").ok());
+  ASSERT_TRUE(fx.mount.write_file("/s/f", content).ok());
+  const auto before = fx.mount.read_file("/s/f");
+  ASSERT_TRUE(before.ok());
+
+  // A partial write in the middle of the file: the store would update an
+  // unshared buffer in place.
+  const auto handle = fx.mount.resolve("/s/f");
+  ASSERT_TRUE(handle.ok());
+  const std::string patch(3000, 'p');
+  ASSERT_TRUE(fx.cluster.daemon(0).write(*handle, 70 * 1024, fs::Bytes(patch)).ok());
+  std::string patched = content;
+  patched.replace(70 * 1024, patch.size(), patch);
+  const auto after_patch = fx.mount.read_file("/s/f");
+  ASSERT_TRUE(after_patch.ok());
+  EXPECT_EQ(after_patch.value(), patched);
+  EXPECT_EQ(before.value(), content);
+
+  ASSERT_TRUE(fx.cluster.daemon(0).truncate(*handle, 1000).ok());
+  EXPECT_EQ(fx.mount.read_file("/s/f").value(), patched.substr(0, 1000));
+  EXPECT_EQ(after_patch.value(), patched);
+
+  ASSERT_TRUE(fx.mount.write_file("/s/f", "replaced").ok());
+  EXPECT_EQ(fx.mount.read_file("/s/f").value(), "replaced");
+  EXPECT_EQ(before.value(), content);
+  EXPECT_EQ(after_patch.value(), patched);
+}
 
 TEST(Mount, ShortSessionXidsAndBytesArePinned) {
   // The client sizes its calls arithmetically (encoded_size_*) and takes

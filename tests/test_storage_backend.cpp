@@ -132,7 +132,9 @@ TEST_P(StorageParity, RandomOperationStreamsAgreeAcrossBackends) {
         const auto a = flat->write(*fi, offset, data);
         const auto b = cas->write(*ci, offset, data);
         ASSERT_EQ(a.ok(), b.ok()) << name;
-        if (a.ok()) EXPECT_EQ(a.value(), b.value());
+        if (a.ok()) {
+          EXPECT_EQ(a.value(), b.value());
+        }
         break;
       }
       case 4: {  // truncate
