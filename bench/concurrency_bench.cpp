@@ -32,16 +32,6 @@ namespace {
 
 using namespace kosha;
 
-std::vector<std::size_t> parse_csv_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<std::size_t>(std::stoull(item)));
-  }
-  return out;
-}
-
 ClusterConfig base_config(std::size_t nodes, std::uint64_t seed) {
   ClusterConfig config;
   config.nodes = nodes;
@@ -121,7 +111,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
-  const auto clients_list = parse_csv_sizes(args.get_string("clients", "1,4,16"));
+  const auto clients_list = args.get_sizes("clients", "1,4,16");
   const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   sim::WorkloadConfig workload;
@@ -135,13 +125,7 @@ int main(int argc, char** argv) {
 
   TextTable scaling({"clients", "makespan (ms)", "busy (ms)", "speedup", "mean op (us)",
                      "failures"});
-  struct Row {
-    std::size_t clients;
-    double makespan_ms;
-    double busy_ms;
-    double speedup;
-  };
-  std::vector<Row> rows;
+  std::ostringstream rows;  // the --metrics-out "scaling" entries
   for (const std::size_t n : clients_list) {
     sim::WorkloadConfig wl = workload;
     wl.clients = n;
@@ -150,7 +134,9 @@ int main(int argc, char** argv) {
     const double speedup = result.makespan.ns > 0
                                ? result.busy.to_millis() / result.makespan.to_millis()
                                : 0.0;
-    rows.push_back({n, result.makespan.to_millis(), result.busy.to_millis(), speedup});
+    if (rows.tellp() > 0) rows << ", ";
+    rows << "{\"clients\": " << n << ", \"makespan_ms\": " << result.makespan.to_millis()
+         << ", \"busy_ms\": " << result.busy.to_millis() << ", \"speedup\": " << speedup << "}";
     scaling.add_row({std::to_string(n), TextTable::fmt(result.makespan.to_millis()),
                      TextTable::fmt(result.busy.to_millis()), TextTable::fmt(speedup) + "x",
                      TextTable::fmt(result.mean_op_us(), 1), std::to_string(result.failures)});
@@ -162,14 +148,7 @@ int main(int argc, char** argv) {
   if (const std::string out = args.get_string("metrics-out", ""); !out.empty()) {
     std::ostringstream json;
     json << "{\n  \"seed\": " << seed << ",\n  \"nodes\": " << nodes << ",\n";
-    json << "  \"scaling\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (i != 0) json << ", ";
-      json << "{\"clients\": " << rows[i].clients << ", \"makespan_ms\": " << rows[i].makespan_ms
-           << ", \"busy_ms\": " << rows[i].busy_ms << ", \"speedup\": " << rows[i].speedup
-           << "}";
-    }
-    json << "]\n}\n";
+    json << "  \"scaling\": [" << rows.str() << "]\n}\n";
     std::ofstream file(out);
     if (!file) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());

@@ -112,6 +112,13 @@ int main(int argc, char** argv) {
 
   sim::FlashCrowdConfig config = config_from(args);
   const double recovery_limit_ms = args.get_double("recovery-limit-ms", 2000.0);
+  if (config.spike_start >= config.duration || config.spike_end <= config.spike_start) {
+    std::fprintf(stderr, "spike window [%.3fs, %.3fs) must start inside the %.3fs run and end "
+                         "after it starts\n",
+                 config.spike_start.to_seconds(), config.spike_end.to_seconds(),
+                 config.duration.to_seconds());
+    return 1;
+  }
 
   std::printf("Flash crowd: %zu base + %zu spike clients on %zu nodes, %zu hot files "
               "(%zu KiB, Zipf %.2f), spike [%.1fs, %.1fs) of %.1fs, seed %llu\n\n",
@@ -133,14 +140,12 @@ int main(int argc, char** argv) {
   // Goodput trajectory side by side (ops OK per window).
   std::printf("\nwindow_ms  uncontrolled  controlled\n");
   for (std::size_t w = 0; w < uncontrolled.windows.size(); ++w) {
-    const char* phase =
-        uncontrolled.windows[w].start < config.spike_start          ? ""
-        : uncontrolled.windows[w].start < config.spike_end ? "  <- spike"
-                                                                    : "";
-    std::printf("%9lld  %12zu  %10zu%s\n",
-                static_cast<long long>(uncontrolled.windows[w].start.ns / 1'000'000),
+    const SimDuration start = uncontrolled.windows[w].start;
+    const bool spike = start >= config.spike_start && start < config.spike_end;
+    std::printf("%9lld  %12zu  %10zu%s\n", static_cast<long long>(start.ns / 1'000'000),
                 uncontrolled.windows[w].ok,
-                w < controlled.windows.size() ? controlled.windows[w].ok : 0, phase);
+                w < controlled.windows.size() ? controlled.windows[w].ok : 0,
+                spike ? "  <- spike" : "");
   }
 
   if (args.get_bool("csv", false)) {

@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,16 +105,6 @@ std::string overhead(double kosha_s, double nfs_s) {
   return TextTable::pct((kosha_s - nfs_s) / nfs_s, 1);
 }
 
-std::vector<std::size_t> parse_csv_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<std::size_t>(std::stoull(item)));
-  }
-  return out;
-}
-
 /// The committed perf trajectory: one fully-instrumented run per node
 /// count, measuring the simulator itself (how fast does virtual time run
 /// on this host) alongside the simulated system (where does virtual time
@@ -123,7 +112,7 @@ std::vector<std::size_t> parse_csv_sizes(const std::string& csv) {
 /// deterministic per seed; wall-derived figures (wall_ms, *_per_sec) vary
 /// run to run and kosha_prof's compare gate treats them accordingly.
 int run_sweep(const CliArgs& args) {
-  const auto node_list = parse_csv_sizes(args.get_string("sweep-nodes", "64,256,1024"));
+  const auto node_list = args.get_sizes("sweep-nodes", "64,256,1024");
   const auto clients = static_cast<std::size_t>(args.get_int("sweep-clients", 16));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string out = args.get_string("out", "results/BENCH_scale.json");

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 namespace kosha {
@@ -45,6 +46,16 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::vector<std::size_t> CliArgs::get_sizes(const std::string& name,
+                                            const std::string& fallback) const {
+  std::vector<std::size_t> out;
+  std::stringstream items(get_string(name, fallback));
+  for (std::string item; std::getline(items, item, ',');) {
+    if (!item.empty()) out.push_back(static_cast<std::size_t>(std::stoull(item)));
+  }
+  return out;
 }
 
 std::string CliArgs::check_known(const std::string& known) const {

@@ -5,9 +5,11 @@
 // Supports "--name value" and "--name=value". Unknown flags are an error so
 // typos in sweep scripts fail loudly.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace kosha {
 
@@ -21,6 +23,9 @@ class CliArgs {
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// A comma-separated list of sizes ("1,4,16"); empty items are skipped.
+  [[nodiscard]] std::vector<std::size_t> get_sizes(const std::string& name,
+                                                   const std::string& fallback) const;
 
   /// Reject flags outside `known` (comma-separated list); returns an error
   /// message or empty string.

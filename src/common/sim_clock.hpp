@@ -55,18 +55,19 @@ class SimClock {
 
   void advance(SimDuration d) { now_ += d; }
 
-  /// Jump forward to absolute time `t`; no-op when `t <= now`.
-  /// Used by the event loop when dispatching an event scheduled at `t`.
+  /// Jump forward to absolute time `t`; no-op when `t <= now`. Used by the
+  /// event loop to dispatch an event scheduled at `t`, and by the
+  /// contention driver to end its run at its last client's finish.
   void advance_to(SimDuration t) {
     if (t > now_) now_ = t;
   }
 
   /// Set the clock to exactly `t`, possibly rewinding.
   /// Reserved for code that evaluates alternative timelines branching from
-  /// one instant. Its users: the multi-client workload driver and
-  /// overload_sim hop between per-client timelines, and koshad's degraded
-  /// read starts every replica probe from the same instant and keeps the
-  /// earliest success. Components otherwise only ever move time forward.
+  /// one instant. Its users: sim::run_closed_loop hops between per-client
+  /// timelines, and koshad's degraded read starts every replica probe from
+  /// the same instant and keeps the earliest success. Components otherwise
+  /// only ever move time forward.
   void set_now(SimDuration t) { now_ = t; }
 
   void reset() { now_ = {}; }

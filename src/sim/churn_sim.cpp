@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "fs/local_fs.hpp"
 #include "kosha/audit.hpp"
 #include "kosha/mount.hpp"
@@ -35,13 +35,6 @@
 
 namespace kosha::sim {
 namespace {
-
-/// Two-decimal fixed-point rendering; keeps the timeline CSV byte-stable.
-std::string fmt_pct(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  return buf;
-}
 
 /// All regular-file contents under `dir` in one store (oracle view; each
 /// dataset file carries unique bytes, so content identifies the file and
@@ -111,8 +104,9 @@ ChurnSample take_sample(KoshaCluster& cluster, KoshaMount& mount, const Dataset&
 
 void append_sample_csv(const ChurnSample& sample, std::string* csv) {
   *csv += "S," + std::to_string(sample.at.ns) + "," + std::to_string(sample.live_nodes) + "," +
-          fmt_pct(sample.availability_pct) + "," + fmt_pct(sample.durability_pct) + "," +
-          fmt_pct(sample.full_pct) + "," + std::to_string(sample.undetected) + "\n";
+          TextTable::fmt(sample.availability_pct) + "," +
+          TextTable::fmt(sample.durability_pct) + "," + TextTable::fmt(sample.full_pct) + "," +
+          std::to_string(sample.undetected) + "\n";
 }
 
 }  // namespace
@@ -176,6 +170,10 @@ ChurnResult simulate_churn(const ChurnSimConfig& config) {
     const SimDuration t = std::min({next_fail, next_join, next_sample});
     if (t > end) break;
     loop.run_until_time(t);
+    // An arrival is applied when the loop gets to it: later than `t` when
+    // the previous sample's reads ran past `t`. The CSV and MTTR both use
+    // the instant it was applied.
+    const SimDuration applied = cluster.clock().now();
     if (next_fail == t) {
       auto live = cluster.live_hosts();
       live.erase(std::remove(live.begin(), live.end(), net::HostId{0}), live.end());
@@ -183,16 +181,16 @@ ChurnResult simulate_churn(const ChurnSimConfig& config) {
         const net::HostId victim = live[arrivals.next_below(live.size())];
         cluster.fail_node(victim);
         ++result.failures;
-        fail_times.push_back(cluster.clock().now());
+        fail_times.push_back(applied);
         result.timeline_csv +=
-            "F," + std::to_string(t.ns) + "," + std::to_string(victim) + "\n";
+            "F," + std::to_string(applied.ns) + "," + std::to_string(victim) + "\n";
       }
       next_fail = t + exp_draw(config.mean_fail_interarrival);
     }
     if (next_join == t) {
       const net::HostId added = cluster.add_node();
       ++result.joins;
-      result.timeline_csv += "J," + std::to_string(t.ns) + "," + std::to_string(added) + "\n";
+      result.timeline_csv += "J," + std::to_string(applied.ns) + "," + std::to_string(added) + "\n";
       next_join = t + exp_draw(config.mean_join_interarrival);
     }
     if (next_sample == t) {

@@ -1,26 +1,31 @@
 #pragma once
 
-// Multi-client workload driver for the event-driven execution model.
+// Closed-loop multi-client runs on one cluster clock.
 //
-// Runs N simulated clients against one cluster, each mounting /kosha on
-// its own host and working in a private /u<c> subtree (mkdir, then a
-// create/write pass, then a read pass that verifies content). Each file's
-// content is a short per-(client, file) stamp repeated to the file size:
-// the driver builds it only to write it, and checks every read in place
-// against the stamp, so the load generator makes about one pass over a
-// file's bytes per op and never materialises an expected string. Client
-// timelines are interleaved conservatively: the driver always runs the
-// client with the lowest local virtual time next (ties broken by lowest
-// client index), hopping the cluster clock between per-client timelines,
-// so service-queue contention at the storage nodes is observed in
-// timestamp order and the schedule is deterministic for a given seed.
+// run_closed_loop is the scheduler both multi-client drivers share (this
+// file's run_multi_client_workload and overload_sim's flash crowd). It
+// always runs the client whose next op issues earliest, ties to the lowest
+// index, hopping the shared clock between per-client timelines, so service
+// queues see arrivals in timestamp order and the schedule is a pure
+// function of the seed.
+//
+// run_multi_client_workload: N clients, each mounting /kosha on its own
+// host, issue back to back a mkdir of a private /u<c>, a write pass and a
+// read pass that verifies content. A file's content is a per-(client,
+// file) stamp repeated to its size, built only to write it and checked in
+// place on every read, so the load generator never holds an expected copy.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -82,7 +87,6 @@ struct WorkloadResult {
   /// Sum of per-op latencies across all clients (the serial-equivalent
   /// cost of the same schedule).
   SimDuration busy{};
-  SimDuration max_op{};
   std::size_t ops = 0;
   /// Ops that failed outright plus reads returning the wrong content.
   std::size_t failures = 0;
@@ -104,6 +108,51 @@ struct WorkloadResult {
 /// empty.
 [[nodiscard]] bool is_repeated_stamp(std::string_view got, std::string_view stamp,
                                      std::size_t bytes);
+
+/// One client's place on the closed-loop schedule: it first issues at
+/// `start` and issues nothing at or past `stop`.
+struct Timeline {
+  SimDuration start{};
+  SimDuration stop = SimDuration::nanos(std::numeric_limits<std::int64_t>::max());
+};
+
+/// One op's interval on its client's timeline, as the runner measured it.
+struct OpSpan {
+  SimDuration issued{};
+  SimDuration done{};
+  [[nodiscard]] SimDuration took() const { return done - issued; }
+};
+
+/// Run `clients` closed-loop clients on `clock`; client i's start and stop
+/// are timeline(i), read once before any op runs. Always runs the op with
+/// the lowest (issue time, client index): sets the clock to its issue
+/// time, calls op(i) (returns whether it succeeded) and passes the measured
+/// span to next(i, span, ok), which returns client i's next issue time, or
+/// nullopt when it is done. A client leaves once its next issue time
+/// reaches its stop. Leaves the clock where the last op left it; returns
+/// the latest op completion (both the entry time if none ran).
+template <typename TimelineOf, typename Op, typename Next>
+SimDuration run_closed_loop(SimClock& clock, std::size_t clients, TimelineOf&& timeline,
+                            Op&& op, Next&& next) {
+  using Ready = std::tuple<SimDuration, std::size_t, SimDuration>;  // (issue, client, stop)
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  for (std::size_t i = 0; i < clients; ++i) {
+    const Timeline t = timeline(i);
+    if (t.start < t.stop) ready.emplace(t.start, i, t.stop);
+  }
+  SimDuration latest = clock.now();
+  while (!ready.empty()) {
+    const auto [issued, i, stop] = ready.top();
+    ready.pop();
+    clock.set_now(issued);
+    const bool ok = op(i);
+    const OpSpan span{issued, clock.now()};
+    if (span.done > latest) latest = span.done;
+    const std::optional<SimDuration> again = next(i, span, ok);
+    if (again.has_value() && *again < stop) ready.emplace(*again, i, stop);
+  }
+  return latest;
+}
 
 /// Run the workload on `cluster` (which must outlive the call). The
 /// cluster's clock ends at the workload's finish time.

@@ -1,13 +1,14 @@
 #include "sim/overload_sim.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
+#include "common/table.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "sim/concurrency_driver.hpp"
@@ -17,7 +18,10 @@ namespace kosha::sim {
 namespace {
 
 /// The stamp a hot file's content repeats: depends only on the file.
-std::string hot_stamp(std::size_t file) { return "h" + std::to_string(file) + ":"; }
+std::string hot_stamp(std::size_t file) {
+  // Appended for the reason file_stamp gives (concurrency_driver.cpp).
+  return std::string("h").append(std::to_string(file)).append(":");
+}
 
 /// One closed-loop reader. Base agents run for the whole measurement;
 /// spike agents only inside the flash-crowd window.
@@ -25,23 +29,8 @@ struct Agent {
   std::unique_ptr<KoshaMount> mount;
   Rng rng{0};
   SimDuration think{};
-  SimDuration local{};  // next op issues at this virtual time
-  SimDuration stop{};   // no new ops at or past this time
+  SimDuration stagger{};  // first op's offset from the agent's start
 };
-
-/// Small deterministic think-time jitter in [0, think/8] so same-think
-/// agents do not phase-lock into one synchronized arrival train.
-SimDuration think_jitter(Rng& rng, SimDuration think) {
-  if (think.ns <= 0) return {};
-  return SimDuration::nanos(static_cast<std::int64_t>(
-      rng.next_below(static_cast<std::uint64_t>(think.ns / 8) + 1)));
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -88,6 +77,11 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
     Agent& a = agents[i];
     a.mount = std::make_unique<KoshaMount>(&cluster.daemon(hosts[i % hosts.size()]));
     a.rng = root.fork(i);
+    a.think = i >= config.base_clients ? config.spike_think : config.base_think;
+    // Stagger the first op inside one think period (spike agents inside a
+    // much smaller slice — a flash crowd arrives nearly at once).
+    a.stagger = SimDuration::nanos(static_cast<std::int64_t>(
+        a.rng.next_below(static_cast<std::uint64_t>(a.think.ns) + 1)));
     // Warm each agent's virtual-handle cache so the measured steady state
     // is one read RPC per op, not resolve + read.
     for (std::size_t f = 0; f < config.hot_files; ++f) {
@@ -98,17 +92,11 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
 
   const SimDuration t0 = clock.now();
   const SimDuration t_end = t0 + config.duration;
-  for (std::size_t i = 0; i < total_agents; ++i) {
-    Agent& a = agents[i];
+  const auto timeline = [&](std::size_t i) {
     const bool spike = i >= config.base_clients;
-    a.think = spike ? config.spike_think : config.base_think;
-    a.local = spike ? t0 + config.spike_start : t0;
-    a.stop = spike ? t0 + config.spike_end : t_end;
-    // Stagger the first op inside one think period (spike agents inside a
-    // much smaller slice — a flash crowd arrives nearly at once).
-    a.local += SimDuration::nanos(static_cast<std::int64_t>(
-        a.rng.next_below(static_cast<std::uint64_t>(a.think.ns) + 1)));
-  }
+    return Timeline{.start = (spike ? t0 + config.spike_start : t0) + agents[i].stagger,
+                    .stop = spike ? t0 + config.spike_end : t_end};
+  };
 
   const std::size_t num_windows =
       static_cast<std::size_t>((config.duration.ns + config.window.ns - 1) / config.window.ns);
@@ -117,29 +105,17 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
     result.windows[w].start = SimDuration::nanos(static_cast<std::int64_t>(w) * config.window.ns);
   }
 
-  // --- Main loop: conservative per-agent timeline interleaving -----------
-  // Always advance the agent with the lowest local time (lowest index on
-  // ties), hopping the cluster clock between timelines, exactly like
-  // run_multi_client_workload — the hot node's queue sees arrivals in
-  // timestamp order and the schedule is a pure function of the seed.
-  for (;;) {
-    std::size_t pick = agents.size();
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      if (agents[i].local >= agents[i].stop) continue;
-      if (pick == agents.size() || agents[i].local < agents[pick].local) pick = i;
-    }
-    if (pick == agents.size()) break;
-
-    Agent& a = agents[pick];
-    clock.set_now(a.local);
+  // --- Main loop: each agent reads, then thinks. The clock stays where the
+  // last read left it, so the abandoned chains drained below start there.
+  const auto read_hot = [&](std::size_t i) {
+    Agent& a = agents[i];
     const std::size_t file = popularity.sample(a.rng);
     const auto read = a.mount->read_file(paths[file]);
-    const bool ok =
-        read.ok() && is_repeated_stamp(read.value(), hot_stamp(file), config.file_bytes);
-
-    const SimDuration done = clock.now();
-    if (done >= t0 && done < t_end) {
-      const auto w = static_cast<std::size_t>((done - t0).ns / config.window.ns);
+    return read.ok() && is_repeated_stamp(read.value(), hot_stamp(file), config.file_bytes);
+  };
+  const auto think = [&](std::size_t i, OpSpan span, bool ok) -> std::optional<SimDuration> {
+    if (span.done >= t0 && span.done < t_end) {
+      const auto w = static_cast<std::size_t>((span.done - t0).ns / config.window.ns);
       FlashCrowdWindow& window = result.windows[w];
       if (ok) {
         ++window.ok;
@@ -149,8 +125,14 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
         ++result.ops_failed;
       }
     }
-    a.local = done + a.think + think_jitter(a.rng, a.think);
-  }
+    // Small deterministic jitter in [0, think/8], so same-think agents do
+    // not phase-lock into one synchronized arrival train.
+    Agent& a = agents[i];
+    if (a.think.ns <= 0) return span.done + a.think;
+    const std::uint64_t jitter = a.rng.next_below(static_cast<std::uint64_t>(a.think.ns / 8) + 1);
+    return span.done + a.think + SimDuration::nanos(static_cast<std::int64_t>(jitter));
+  };
+  run_closed_loop(clock, total_agents, timeline, read_hot, think);
 
   // Let abandoned request chains still queued at the hot node settle, so
   // the counters below include every piece of dead work the run created.
@@ -175,8 +157,11 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   }
 
   // --- Goodput phases ----------------------------------------------------
-  const auto ws = static_cast<std::size_t>(config.spike_start.ns / config.window.ns);
-  const auto we = static_cast<std::size_t>(config.spike_end.ns / config.window.ns);
+  // The spike's windows, clamped to the run's: it may start or end after it.
+  const std::size_t ws =
+      std::min(static_cast<std::size_t>(config.spike_start.ns / config.window.ns), num_windows);
+  const std::size_t we =
+      std::min(static_cast<std::size_t>(config.spike_end.ns / config.window.ns), num_windows);
   const auto mean_ok = [&](std::size_t lo, std::size_t hi) {
     if (hi <= lo) return 0.0;
     double sum = 0;
@@ -184,9 +169,8 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
     return sum / static_cast<double>(hi - lo);
   };
   result.baseline_ops = mean_ok(std::min<std::size_t>(1, ws), ws);
-  result.spike_ops = mean_ok(ws, std::min(we, num_windows));
-  const std::size_t post = std::min(we, num_windows);
-  const std::size_t tail = std::min<std::size_t>(4, num_windows - post);
+  result.spike_ops = mean_ok(ws, we);
+  const std::size_t tail = std::min<std::size_t>(4, num_windows - we);
   result.post_ops = mean_ok(num_windows - tail, num_windows);
   result.post_over_baseline =
       result.baseline_ops > 0 ? result.post_ops / result.baseline_ops : 0.0;
@@ -194,7 +178,7 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   // Recovery: longest suffix of post-spike windows all at >= 95% baseline.
   const double threshold = 0.95 * result.baseline_ops;
   std::size_t first_good = num_windows;
-  for (std::size_t w = num_windows; w > post; --w) {
+  for (std::size_t w = num_windows; w > we; --w) {
     if (static_cast<double>(result.windows[w - 1].ok) < threshold) break;
     first_good = w - 1;
   }
@@ -215,8 +199,9 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
     csv += "W," + std::to_string(w.start.ns / 1'000'000) + "," + std::to_string(w.ok) + "," +
            std::to_string(w.failed) + "\n";
   }
-  csv += "G,baseline," + fmt(result.baseline_ops) + ",spike," + fmt(result.spike_ops) +
-         ",post," + fmt(result.post_ops) + ",ratio," + fmt(result.post_over_baseline) + "\n";
+  csv += "G,baseline," + TextTable::fmt(result.baseline_ops, 3) + ",spike," +
+         TextTable::fmt(result.spike_ops, 3) + ",post," + TextTable::fmt(result.post_ops, 3) +
+         ",ratio," + TextTable::fmt(result.post_over_baseline, 3) + "\n";
   csv += "R," + std::string(result.recovered ? "1" : "0") + "," +
          std::to_string(result.recovery_after_spike.ns / 1'000'000) + "\n";
   csv += "C,timeouts," + std::to_string(result.timeouts) + ",retries," +

@@ -5,9 +5,10 @@
 // Drives a live KoshaCluster with a closed-loop population of readers all
 // hitting one hot anchor directory (every file under /hot lives on a single
 // owner node), then injects a flash crowd: a burst of extra clients with
-// near-zero think time for a bounded window. Client timelines interleave
-// conservatively (lowest-local-time-first, exactly the concurrency_driver
-// discipline), so the schedule is a pure function of the seed.
+// near-zero think time for a bounded window. Each reader issues its next op
+// one think time (plus a little jitter) after its last one completed, and
+// sim::run_closed_loop (concurrency_driver.hpp) interleaves the readers'
+// timelines, so the schedule is a pure function of the seed.
 //
 // The experiment exists to demonstrate the metastable failure mode and its
 // cure (ISSUE: overload control):

@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -204,6 +205,50 @@ TEST(ClusterChurn, OracleChurnTimelineIsTimeOrdered) {
     ++events;
   }
   EXPECT_GT(events, result.failures + result.joins);
+}
+
+TEST(ClusterChurn, TimelineRecomputesTheReportedMttr) {
+  // The lossy soak: some arrivals are applied after the sample before them
+  // ran past their scheduled instant. The F lines must carry the instant a
+  // failure was applied, so the MTTR recomputed from the CSV alone (F to
+  // the first later S line at full replication) equals the reported one.
+  sim::ChurnSimConfig config;
+  config.seed = 7;
+  config.duration = SimDuration::seconds(8);
+  config.mean_fail_interarrival = SimDuration::seconds(2);
+  config.mean_join_interarrival = SimDuration::seconds(3);
+  config.drop_probability = 0.02;
+  const sim::ChurnResult result = sim::simulate_churn(config);
+  ASSERT_GT(result.failures, 0u);
+
+  std::vector<SimDuration> failed;
+  std::vector<std::pair<SimDuration, double>> samples;  // (at, full%)
+  std::istringstream lines(result.timeline_csv);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string> f;
+    for (std::string field; std::getline(fields, field, ',');) f.push_back(field);
+    if (f.size() == 3 && f[0] == "F") failed.push_back(SimDuration::nanos(std::stoll(f[1])));
+    if (f.size() == 7 && f[0] == "S") {
+      samples.emplace_back(SimDuration::nanos(std::stoll(f[1])), std::stod(f[5]));
+    }
+  }
+  ASSERT_EQ(failed.size(), result.failures);
+
+  std::size_t repaired = 0;
+  double mttr_ms = 0;
+  for (const SimDuration at : failed) {
+    for (const auto& [sampled, full_pct] : samples) {
+      if (sampled <= at || full_pct < 100.0) continue;
+      mttr_ms += (sampled - at).to_millis();
+      ++repaired;
+      break;
+    }
+  }
+  ASSERT_EQ(repaired, result.repaired);
+  ASSERT_GT(repaired, 0u);
+  EXPECT_DOUBLE_EQ(mttr_ms / static_cast<double>(repaired), result.mttr_ms_mean);
 }
 
 // --- self-healing mode (DESIGN §8): no oracle, detectors + daemons -------

@@ -55,9 +55,12 @@ std::vector<char*> make_argv(std::vector<std::string>& storage) {
 }
 
 TEST(CliArgs, SpaceAndEqualsForms) {
-  std::vector<std::string> storage{"prog", "--runs", "7", "--seed=42", "--verbose"};
+  std::vector<std::string> storage{"prog", "--runs", "7", "--seed=42", "--verbose",
+                                   "--clients=1,4,,16"};
   auto argv = make_argv(storage);
   const CliArgs args(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(args.get_sizes("clients", "2"), (std::vector<std::size_t>{1, 4, 16}));
+  EXPECT_EQ(args.get_sizes("nodes", "64,256"), (std::vector<std::size_t>{64, 256}));
   EXPECT_EQ(args.get_int("runs", 0), 7);
   EXPECT_EQ(args.get_int("seed", 0), 42);
   EXPECT_TRUE(args.get_bool("verbose", false));

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/sim_clock.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "sim/concurrency_driver.hpp"
@@ -169,6 +173,151 @@ TEST(ConcurrencyDriver, EventDrivenMatchesLegacySerialModelForOneClient)
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.makespan.ns, 31'854'480);
   EXPECT_EQ(cluster.network().stats().messages, 143u);
+}
+
+// --- run_closed_loop against a brute-force reference ----------------------
+
+/// A random closed-loop schedule on coarse grids, so equal start times,
+/// equal op durations and equal completions are common.
+struct Schedule {
+  SimDuration entry;  // the clock when the run begins
+  std::vector<sim::Timeline> clients;
+  std::vector<SimDuration> think;              // completion -> next issue
+  std::vector<std::vector<SimDuration>> took;  // took[i][k]: client i's op k
+};
+
+Schedule random_schedule(Rng& rng) {
+  const auto grid = [&rng](std::uint64_t steps) {
+    return SimDuration::nanos(static_cast<std::int64_t>(10 * rng.next_below(steps)));
+  };
+  Schedule s;
+  s.entry = grid(3);
+  const std::size_t n = 1 + rng.next_below(7);
+  for (std::size_t i = 0; i < n; ++i) {
+    sim::Timeline t{.start = grid(4)};
+    // Stop at or before the start (never runs), somewhere after it (may
+    // stop part-way), or never (runs out of ops instead).
+    const std::uint64_t kind = rng.next_below(3);
+    if (kind == 0) t.stop = t.start - grid(2);
+    if (kind == 1) t.stop = t.start + grid(8);
+    s.clients.push_back(t);
+    s.think.push_back(grid(2));
+    s.took.emplace_back(1 + rng.next_below(6));
+    for (SimDuration& d : s.took.back()) d = grid(3);
+  }
+  return s;
+}
+
+struct Dispatch {
+  std::size_t client;
+  SimDuration issued;
+  bool operator==(const Dispatch&) const = default;
+};
+
+struct Trace {
+  std::vector<Dispatch> dispatched;
+  SimDuration last_done;  // where the last op left the clock
+  SimDuration latest;     // the latest completion (the entry time if none)
+};
+
+/// The reference: each step scans every client for the lowest next issue
+/// time with a strict `<` (so ties go to the lowest index), among clients
+/// with ops left whose next issue time is before their stop.
+Trace reference_run(const Schedule& s) {
+  const std::size_t n = s.clients.size();
+  std::vector<SimDuration> local(n);
+  std::vector<std::size_t> ran(n, 0);
+  for (std::size_t i = 0; i < n; ++i) local[i] = s.clients[i].start;
+  Trace run{.dispatched = {}, .last_done = s.entry, .latest = s.entry};
+  for (;;) {
+    std::size_t pick = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ran[i] == s.took[i].size() || local[i] >= s.clients[i].stop) continue;
+      if (pick == n || local[i] < local[pick]) pick = i;
+    }
+    if (pick == n) return run;
+    run.dispatched.push_back({pick, local[pick]});
+    run.last_done = local[pick] + s.took[pick][ran[pick]++];
+    run.latest = std::max(run.latest, run.last_done);
+    local[pick] = run.last_done + s.think[pick];
+  }
+}
+
+/// The same schedule through the runner; `clock_at_exit` is where it left
+/// the clock.
+Trace runner_run(const Schedule& s, SimDuration* clock_at_exit) {
+  SimClock clock;
+  clock.advance(s.entry);
+  std::vector<std::size_t> ran(s.clients.size(), 0);
+  Trace run{.dispatched = {}, .last_done = s.entry, .latest = {}};
+  const auto op = [&](std::size_t i) {
+    run.dispatched.push_back({i, clock.now()});
+    clock.advance(s.took[i][ran[i]++]);
+    return i % 2 == 0;
+  };
+  const auto next = [&](std::size_t i, sim::OpSpan span, bool ok) -> std::optional<SimDuration> {
+    EXPECT_EQ(span.issued, run.dispatched.back().issued);
+    EXPECT_EQ(span.took(), s.took[i][ran[i] - 1]);
+    EXPECT_EQ(ok, i % 2 == 0);
+    run.last_done = span.done;
+    if (ran[i] == s.took[i].size()) return std::nullopt;
+    return span.done + s.think[i];
+  };
+  const auto timeline = [&s](std::size_t i) { return s.clients[i]; };
+  run.latest = sim::run_closed_loop(clock, s.clients.size(), timeline, op, next);
+  *clock_at_exit = clock.now();
+  return run;
+}
+
+TEST(ClosedLoopRunner, MatchesTheBruteForceScanOnRandomSchedules) {
+  Rng rng(2024);
+  std::size_t ties = 0, never_ran = 0, stopped_early = 0, clocks_differ = 0;
+  for (int round = 0; round < 500; ++round) {
+    const Schedule s = random_schedule(rng);
+    const Trace want = reference_run(s);
+    SimDuration clock_at_exit;
+    const Trace got = runner_run(s, &clock_at_exit);
+    ASSERT_EQ(got.dispatched, want.dispatched) << "round " << round;
+    EXPECT_EQ(got.latest, want.latest) << "round " << round;
+    EXPECT_EQ(clock_at_exit, want.last_done) << "round " << round;
+
+    // Tally the cases the schedules must cover.
+    std::vector<std::size_t> ran(s.clients.size(), 0);
+    for (std::size_t k = 0; k < want.dispatched.size(); ++k) {
+      ++ran[want.dispatched[k].client];
+      if (k > 0 && want.dispatched[k].issued == want.dispatched[k - 1].issued) ++ties;
+    }
+    for (std::size_t i = 0; i < s.clients.size(); ++i) {
+      if (s.clients[i].start >= s.clients[i].stop) {
+        EXPECT_EQ(ran[i], 0u) << "round " << round << " client " << i;
+        ++never_ran;
+      } else if (ran[i] > 0 && ran[i] < s.took[i].size()) {
+        ++stopped_early;
+      }
+    }
+    if (want.latest != want.last_done) ++clocks_differ;
+  }
+  EXPECT_GT(ties, 100u);
+  EXPECT_GT(never_ran, 100u);
+  EXPECT_GT(stopped_early, 100u);
+  EXPECT_GT(clocks_differ, 20u);
+}
+
+TEST(ConcurrencyDriver, ClockEndsAtTheLatestClientFinish) {
+  // The runner leaves the clock where the last op left it. Here (a mkdir
+  // and one write per client) the last op to run is not the last to
+  // finish, and the workload must still end with its last client.
+  for (const std::uint64_t seed : {7u, 42u}) {
+    KoshaCluster cluster(cluster_config(1, seed));
+    const SimDuration t0 = cluster.clock().now();
+    sim::WorkloadConfig workload;
+    workload.clients = 12;
+    workload.files_per_client = 1;
+    workload.reads_per_file = 0;
+    const auto result = sim::run_multi_client_workload(cluster, workload);
+    EXPECT_EQ(result.failures, 0u);
+    EXPECT_EQ(cluster.clock().now(), t0 + result.makespan) << "seed " << seed;
+  }
 }
 
 }  // namespace

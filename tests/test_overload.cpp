@@ -504,5 +504,26 @@ TEST(FlashCrowd, SameSeedRunsAreByteIdenticalAndArmsAgreeBeforeTheSpike) {
   }
 }
 
+TEST(FlashCrowd, SpikeAfterTheRunEndsLeavesEveryWindowToTheBaseline) {
+  // The default spike starts at 3 s; a 2 s run never reaches it, so the
+  // baseline spans every window after the warm-up one and the spike and
+  // post-spike phases are empty. Under ASan this also proves the phase
+  // means never index past the run's windows.
+  sim::FlashCrowdConfig config;
+  config.base_clients = 6;
+  config.duration = SimDuration::seconds(2);
+  ASSERT_GE(config.spike_start, config.duration);
+  const sim::FlashCrowdResult result = sim::simulate_flash_crowd(config);
+  ASSERT_EQ(result.windows.size(), 4u);
+  std::size_t ok = 0;
+  for (const auto& window : result.windows) ok += window.ok;
+  EXPECT_EQ(ok, result.ops_ok);
+  EXPECT_GT(result.ops_ok, 0u);
+  const double after_warm_up = static_cast<double>(ok - result.windows[0].ok);
+  EXPECT_DOUBLE_EQ(result.baseline_ops, after_warm_up / 3.0);
+  EXPECT_EQ(result.spike_ops, 0.0);
+  EXPECT_EQ(result.post_ops, 0.0);
+}
+
 }  // namespace
 }  // namespace kosha
