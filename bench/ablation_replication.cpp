@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
       trace::MabConfig mab;
       mab.seed = seed + run;
-      mab.prefix = "r" + std::to_string(run);
+      mab.prefix = std::string("r").append(std::to_string(run));
       const auto workload = trace::generate_mab(mab);
       total_s += trace::run_mab(mount, workload, cluster.clock()).total();
       net_bytes += static_cast<double>(cluster.network().stats().bytes);

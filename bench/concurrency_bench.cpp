@@ -75,7 +75,8 @@ int write_profile_json(const std::string& out, std::size_t nodes, std::uint64_t 
   for (const auto& [name, c] : prof.categories()) {
     if (!first) json += ", ";
     first = false;
-    json += "\"" + json_escape(name) + "\": {\"count\": " + std::to_string(c.count) +
+    json += '"';
+    json += json_escape(name) + "\": {\"count\": " + std::to_string(c.count) +
             ", \"wall_us\": " + json_number(static_cast<double>(c.wall_ns) * 1e-3) + "}";
   }
   json += "},\n";

@@ -87,7 +87,8 @@ void BM_StoreCreate(benchmark::State& state) {
   const auto store = fs::make_backend(config);
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store->create(store->root(), "f" + std::to_string(i++)));
+    benchmark::DoNotOptimize(
+        store->create(store->root(), std::string("f").append(std::to_string(i++))));
   }
 }
 BENCHMARK(BM_StoreCreate)->Arg(0)->Arg(1)->ArgName("cas");

@@ -53,7 +53,7 @@ trace::MabPhaseTimes run_nfs_baseline(std::size_t runs, std::uint64_t seed) {
     baseline::NfsMount mount(&network, &directory, client, server_host);
     trace::MabConfig mab;
     mab.seed = seed + run;
-    mab.prefix = "r" + std::to_string(run);
+    mab.prefix = std::string("r").append(std::to_string(run));
     const auto workload = trace::generate_mab(mab);
     sum += trace::run_mab(mount, workload, clock);
     trace::cleanup_mab(mount, workload);
@@ -85,7 +85,7 @@ KoshaRun run_kosha(std::size_t nodes, std::size_t runs, std::uint64_t seed) {
 
     trace::MabConfig mab;
     mab.seed = seed + run;
-    mab.prefix = "r" + std::to_string(run);
+    mab.prefix = std::string("r").append(std::to_string(run));
     const auto workload = trace::generate_mab(mab);
     sum += trace::run_mab(mount, workload, cluster.clock());
     trace::cleanup_mab(mount, workload);
@@ -191,8 +191,8 @@ int run_sweep(const CliArgs& args) {
                                ? static_cast<double>(total.ns) /
                                      static_cast<double>(critical.critical_total_ns)
                                : 0.0;
-      json += "\"" + json_escape(stage) + "\": {\"ns\": " +
-              json_number(static_cast<double>(total.ns)) +
+      json += '"';
+      json += json_escape(stage) + "\": {\"ns\": " + json_number(static_cast<double>(total.ns)) +
               ", \"share\": " + json_number(share) + "}";
     }
     json += "}}";

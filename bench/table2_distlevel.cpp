@@ -33,7 +33,7 @@ trace::MabPhaseTimes run_level(unsigned level, std::size_t runs, std::uint64_t s
 
     trace::MabConfig mab;
     mab.seed = seed + run;
-    mab.prefix = "r" + std::to_string(run);
+    mab.prefix = std::string("r").append(std::to_string(run));
     const auto workload = trace::generate_mab(mab);
     sum += trace::run_mab(mount, workload, cluster.clock());
     trace::cleanup_mab(mount, workload);

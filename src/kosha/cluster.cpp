@@ -399,9 +399,4 @@ std::string KoshaCluster::export_metrics_json() {
   return metrics_.to_json();
 }
 
-std::string KoshaCluster::export_metrics_csv() {
-  refresh_derived_metrics();
-  return metrics_.to_csv();
-}
-
 }  // namespace kosha

@@ -146,9 +146,8 @@ class KoshaCluster {
 
   /// Snapshot the registry (refreshing gauges derived from NetStats,
   /// server and daemon counters, and per-node storage occupancy) as the
-  /// deterministic JSON / CSV formats kosha_stat consumes.
+  /// deterministic JSON format kosha_stat consumes.
   [[nodiscard]] std::string export_metrics_json();
-  [[nodiscard]] std::string export_metrics_csv();
   /// Finished spans as JSONL (empty when tracing was off).
   [[nodiscard]] std::string export_trace_jsonl() const { return tracer_.to_jsonl(); }
 

@@ -19,6 +19,33 @@ constexpr std::size_t kIndirectBytes = 48;
 
 }  // namespace
 
+HeartbeatLeg& HeartbeatLegPool::leg_at(SimDuration arrival, NodeId sender,
+                                       net::HostId sender_host, std::uint64_t sender_boot) {
+  for (const std::uint32_t index : batch_) {
+    if (legs_[index].arrival == arrival) return legs_[index];
+  }
+  std::uint32_t index = 0;
+  if (free_.empty()) {
+    index = static_cast<std::uint32_t>(legs_.size());
+    legs_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  batch_.push_back(index);
+  HeartbeatLeg& leg = legs_[index];
+  leg.sender = sender;
+  leg.sender_host = sender_host;
+  leg.sender_boot = sender_boot;
+  leg.arrival = arrival;
+  return leg;
+}
+
+void HeartbeatLegPool::release(std::uint32_t index) {
+  legs_[index].messages.clear();
+  free_.push_back(index);
+}
+
 FailureDetector::FailureDetector(FailureDetectorConfig config, PastryOverlay* overlay,
                                  net::SimNetwork* network, EventLoop* loop, NodeId self,
                                  net::HostId host, std::uint64_t boot)
@@ -64,7 +91,8 @@ std::size_t FailureDetector::find_or_add_peer(NodeId id) {
   const auto index = static_cast<std::size_t>(it - peer_ids_.begin());
   if (it == peer_ids_.end() || *it != id) {
     peer_ids_.insert(it, id);
-    peer_states_.insert(peer_states_.begin() + static_cast<std::ptrdiff_t>(index), PeerState{});
+    peer_states_.insert(peer_states_.begin() + static_cast<std::ptrdiff_t>(index),
+                        PeerState{.host = overlay_->host_of(id)});
   }
   return index;
 }
@@ -83,8 +111,9 @@ void FailureDetector::schedule_tick() {
   const SimDuration delay = config_.probe_period + loop_->jitter(config_.probe_jitter);
   PastryOverlay* overlay = overlay_;
   const NodeId self = self_;
-  loop_->schedule_after(delay, "fd.tick", [overlay, self] {
-    if (FailureDetector* d = overlay->detector(self)) d->tick();
+  const net::HostId host = host_;
+  loop_->schedule_after(delay, "fd.tick", [overlay, host, self] {
+    if (FailureDetector* d = overlay->detector_on(host, self)) d->tick();
   });
 }
 
@@ -95,8 +124,7 @@ void FailureDetector::trace_event(const char* name, NodeId peer) {
   span.tag("peer", peer.to_hex().substr(0, 8));
 }
 
-void FailureDetector::prune_state() {
-  const LeafSet& leaves = overlay_->leaf_set(self_);
+void FailureDetector::prune_state(const LeafSet& leaves) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < peer_ids_.size(); ++i) {
     const NodeId id = peer_ids_[i];
@@ -121,9 +149,30 @@ void FailureDetector::prune_state() {
 
 void FailureDetector::tick() {
   if (!running_) return;
-  prune_state();
+  const LeafSet& leaves = overlay_->leaf_set(self_);
+  if (round_stale_ || death_verdicts_ != 0 || leaves.version() != round_version_) {
+    rebuild_round(leaves);
+  }
+  if (!round_.empty()) {
+    // The round's miss timers would all fire at the same instant, so one
+    // event checks them all, in probe order. It always runs; an ack
+    // recorded before it fires wins. Scheduled ahead of the probes, it
+    // dispatches where the round's first per-probe timer would have.
+    PastryOverlay* overlay = overlay_;
+    const net::HostId host = host_;
+    const NodeId self = self_;
+    loop_->schedule_after(config_.probe_timeout, "fd.timeout", [overlay, host, self] {
+      if (FailureDetector* d = overlay->detector_on(host, self)) d->on_round_timeout();
+    });
+    send_round();
+  }
+  schedule_tick();
+}
+
+void FailureDetector::rebuild_round(const LeafSet& leaves) {
+  prune_state(leaves);
   round_.clear();
-  for (const NodeId m : overlay_->leaf_set(self_).members()) {
+  for (const NodeId m : leaves.members()) {
     if (m == self_) continue;
     const std::size_t size_before = peer_ids_.size();
     const std::size_t peer = find_or_add_peer(m);
@@ -135,19 +184,8 @@ void FailureDetector::tick() {
     if (peer_states_[peer].status == Status::kDead) continue;
     round_.push_back(RoundProbe{peer, 0});
   }
-  if (!round_.empty()) {
-    // The round's miss timers would all fire at the same instant, so one
-    // event checks them all, in probe order. It always runs; an ack
-    // recorded before it fires wins. Scheduled ahead of the probes, it
-    // dispatches where the round's first per-probe timer would have.
-    PastryOverlay* overlay = overlay_;
-    const NodeId self = self_;
-    loop_->schedule_after(config_.probe_timeout, "fd.timeout", [overlay, self] {
-      if (FailureDetector* d = overlay->detector(self)) d->on_round_timeout();
-    });
-    for (RoundProbe& p : round_) p.seq = probe(p.peer);
-  }
-  schedule_tick();
+  round_version_ = leaves.version();
+  round_stale_ = false;
 }
 
 void FailureDetector::on_round_timeout() {
@@ -157,40 +195,74 @@ void FailureDetector::on_round_timeout() {
   for (const RoundProbe& p : round_) on_probe_timeout(p.peer, p.seq);
 }
 
-std::uint64_t FailureDetector::probe(std::size_t peer) {
-  const std::uint64_t seq = ++peer_states_[peer].last_seq;
-  ++stats_.probes_sent;
+void FailureDetector::send_round() {
+  HeartbeatLegPool& legs = overlay_->heartbeat_legs();
+  legs.begin_batch();
+  const SimDuration now = loop_->now();
+  for (RoundProbe& p : round_) {
+    PeerState& state = peer_states_[p.peer];
+    p.seq = ++state.last_seq;
+    ++stats_.probes_sent;
+    if (!network_->is_up(state.host)) continue;  // dead host: the wire eats it
+    const auto request = network_->plan_message(host_, state.host, kProbeBytes, now);
+    if (!request.delivered) continue;
+    legs.leg_at(request.arrival, self_, host_, boot_)
+        .messages.push_back(
+            {.target = peer_ids_[p.peer], .target_host = state.host, .peer = p.peer, .seq = p.seq});
+  }
   PastryOverlay* overlay = overlay_;
   net::SimNetwork* network = network_;
   EventLoop* loop = loop_;
-  const NodeId self = self_;
-  const std::uint64_t self_boot = boot_;
-  const NodeId target = peer_ids_[peer];
+  for (const std::uint32_t leg : legs.batch()) {
+    loop_->schedule_at(legs[leg].arrival, "fd.probe", [overlay, network, loop, leg] {
+      deliver_probes(overlay, network, loop, leg);
+    });
+  }
+}
 
-  const net::HostId target_host = overlay_->host_of(target);
-  if (!network_->is_up(target_host)) return seq;  // dead host: the wire eats it
-  const auto request = network_->plan_message(host_, target_host, kProbeBytes, loop_->now());
-  if (!request.delivered) return seq;
+void FailureDetector::deliver_probes(PastryOverlay* overlay, net::SimNetwork* network,
+                                     EventLoop* loop, std::uint32_t leg) {
+  HeartbeatLegPool& legs = overlay->heartbeat_legs();
+  const HeartbeatLeg& probes = legs[leg];
+  [[maybe_unused]] const std::uint64_t scheduled = loop->stats().scheduled;
+  legs.begin_batch();
+  for (const HeartbeatLeg::Message& m : probes.messages) {
+    FailureDetector* peer = overlay->detector_on(m.target_host, m.target);
+    // The target may have crashed while the probe was in flight; a
+    // stopped node never acks.
+    if (peer == nullptr || !peer->on_probe_request(probes.sender, probes.sender_boot)) continue;
+    const auto reply =
+        network->plan_message(m.target_host, probes.sender_host, kProbeBytes, loop->now());
+    if (!reply.delivered) continue;
+    legs.leg_at(reply.arrival, probes.sender, probes.sender_host, probes.sender_boot)
+        .messages.push_back({.target = m.target,
+                             .target_host = m.target_host,
+                             .peer = m.peer,
+                             .seq = m.seq,
+                             .target_boot = peer->boot()});
+  }
+  // Batching is exact only while a leg's own acks are all it schedules:
+  // anything else scheduled here would take an id the per-probe events'
+  // interleaving would have ordered differently.
+  assert(loop->stats().scheduled == scheduled);
+  legs.release(leg);
+  for (const std::uint32_t ack : legs.batch()) {
+    loop->schedule_at(legs[ack].arrival, "fd.ack",
+                      [overlay, loop, ack] { deliver_acks(overlay, loop, ack); });
+  }
+}
 
-  const net::HostId self_host = host_;
-  loop_->schedule_at(request.arrival, "fd.probe",
-                     [overlay, network, loop, self, self_boot, self_host, target, seq] {
-                       FailureDetector* peer = overlay->detector(target);
-                       // The target may have crashed while the probe was in
-                       // flight; a stopped node never acks.
-                       if (peer == nullptr || !peer->on_probe_request(self, self_boot)) return;
-                       const auto reply = network->plan_message(peer->host(), self_host,
-                                                               kProbeBytes, loop->now());
-                       if (!reply.delivered) return;
-                       const std::uint64_t peer_boot = peer->boot();
-                       loop->schedule_at(reply.arrival, "fd.ack",
-                                         [overlay, self, target, seq, peer_boot] {
-                                           if (FailureDetector* d = overlay->detector(self)) {
-                                             d->on_probe_ack(target, seq, peer_boot);
-                                           }
-                                         });
-                     });
-  return seq;
+void FailureDetector::deliver_acks(PastryOverlay* overlay, EventLoop* loop, std::uint32_t leg) {
+  HeartbeatLegPool& legs = overlay->heartbeat_legs();
+  const HeartbeatLeg& acks = legs[leg];
+  [[maybe_unused]] const std::uint64_t scheduled = loop->stats().scheduled;
+  for (const HeartbeatLeg::Message& m : acks.messages) {
+    if (FailureDetector* d = overlay->detector_on(acks.sender_host, acks.sender)) {
+      d->on_probe_ack(m.target, m.peer, m.seq, m.target_boot);
+    }
+  }
+  assert(loop->stats().scheduled == scheduled);
+  legs.release(leg);
 }
 
 bool FailureDetector::on_probe_request(NodeId from, std::uint64_t from_boot) {
@@ -215,14 +287,17 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
   state->failed_rounds = 0;
   ++state->generation;
   --death_verdicts_;
+  round_stale_ = true;
   ++stats_.reinstated;
   trace_event("fd.reinstate", peer);
   overlay_->reintroduce(self_, peer);
 }
 
-void FailureDetector::on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot) {
+void FailureDetector::on_probe_ack(NodeId target, std::size_t peer, std::uint64_t seq,
+                                   std::uint64_t target_boot) {
   if (!running_) return;
-  const std::size_t peer = find_peer(target);
+  // A rebuild since the probe left may have moved the target.
+  if (peer >= peer_ids_.size() || peer_ids_[peer] != target) peer = find_peer(target);
   if (peer == kNoPeer) return;
   PeerState& state = peer_states_[peer];
   state.last_ack_seq = std::max(state.last_ack_seq, seq);
@@ -383,6 +458,7 @@ void FailureDetector::declare_dead(NodeId target, PeerState& state) {
   state.status = Status::kDead;
   ++state.generation;
   ++death_verdicts_;
+  round_stale_ = true;
   ++stats_.declared_dead;
   trace_event("fd.declare", target);
   overlay_->report_failure(self_, target);

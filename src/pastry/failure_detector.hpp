@@ -22,6 +22,18 @@
 // probe of the round still unacked when it fires counts as a miss. Config
 // requires probe_timeout < probe_period, so rounds never overlap.
 //
+// On the wire a round travels in legs, not one event per message: the
+// round's probes that reach their targets at one instant form one leg and
+// one event, which runs each target's side in send order and groups the
+// replies the same way into ack legs. Without a latency spike a round is
+// at most four events (tick, miss timer, probe leg, ack leg) however many
+// peers it probes. This is exact: same-instant events dispatch FIFO by id, and the
+// per-message events a leg replaces would have had consecutive ids. The
+// legs in flight live in the overlay's HeartbeatLegPool, not in the
+// sending detector, because KoshaCluster::revive_node destroys a detector
+// while its round may still be on the wire. The round itself is reused from tick to
+// tick while the leaf set is unchanged and no verdict is held.
+//
 // Two false-positive suppressions beyond the miss threshold:
 //   * confirm-before-declare: a suspected peer is only declared dead after
 //     `confirm_rounds` rounds of indirect probing through distinct helper
@@ -51,11 +63,14 @@
 // no-ops.
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "common/event_loop.hpp"
 #include "common/sim_clock.hpp"
 #include "net/sim_network.hpp"
+#include "pastry/leaf_set.hpp"
 #include "pastry/types.hpp"
 
 namespace kosha::pastry {
@@ -97,6 +112,52 @@ struct FailureDetectorStats {
   friend bool operator==(const FailureDetectorStats&, const FailureDetectorStats&) = default;
 };
 
+/// One leg of a heartbeat round: the probes one detector sent that reach
+/// their targets at one instant, or the acks that come back to it at one
+/// instant, in send order. One event delivers the whole leg.
+struct HeartbeatLeg {
+  struct Message {
+    NodeId target;  ///< the probed peer
+    net::HostId target_host = 0;
+    /// The target's index in the sender's peer table when the probe left;
+    /// the ack checks it still holds the target before trusting it.
+    std::size_t peer = 0;
+    std::uint64_t seq = 0;
+    /// Acks only: the boot verifier the target answered with.
+    std::uint64_t target_boot = 0;
+  };
+  NodeId sender;
+  net::HostId sender_host = 0;
+  std::uint64_t sender_boot = 0;
+  SimDuration arrival{};
+  std::vector<Message> messages;
+};
+
+/// The heartbeat legs on the wire, owned by the overlay (a sending
+/// detector may be destroyed while its legs are in flight). Events capture
+/// a leg by index; the deque keeps references valid while legs are added,
+/// and a released leg keeps its message buffer, so steady rounds allocate
+/// nothing.
+class HeartbeatLegPool {
+ public:
+  HeartbeatLeg& operator[](std::uint32_t index) { return legs_[index]; }
+  /// Start a batch: the legs one send loop fills, one per arrival instant.
+  void begin_batch() { batch_.clear(); }
+  /// The batch's leg from `sender` arriving at `arrival`, taken from the
+  /// pool when the batch has none yet.
+  HeartbeatLeg& leg_at(SimDuration arrival, NodeId sender, net::HostId sender_host,
+                       std::uint64_t sender_boot);
+  /// The batch's legs, in order of their first message.
+  [[nodiscard]] std::span<const std::uint32_t> batch() const { return batch_; }
+  /// Return a delivered leg to the pool.
+  void release(std::uint32_t index);
+
+ private:
+  std::deque<HeartbeatLeg> legs_;
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> batch_;
+};
+
 class FailureDetector {
  public:
   FailureDetector(FailureDetectorConfig config, PastryOverlay* overlay,
@@ -133,8 +194,11 @@ class FailureDetector {
   /// stale death verdict about `from` when the boot matches. Returns
   /// whether this node acks (it is running).
   bool on_probe_request(NodeId from, std::uint64_t from_boot);
-  /// The ack for probe `seq` of `target` arrived (with its boot).
-  void on_probe_ack(NodeId target, std::uint64_t seq, std::uint64_t target_boot);
+  /// The ack for probe `seq` of `target` arrived (with its boot). `peer`
+  /// is the target's table index when the probe left, used while it still
+  /// holds the target.
+  void on_probe_ack(NodeId target, std::size_t peer, std::uint64_t seq,
+                    std::uint64_t target_boot);
   /// The current round's probes have been outstanding for probe_timeout:
   /// each one still unacked is a miss, in probe order.
   void on_round_timeout();
@@ -149,6 +213,8 @@ class FailureDetector {
   enum class Status { kAlive, kSuspected, kDead };
 
   struct PeerState {
+    /// The peer's host, fixed with its id when the state is added.
+    net::HostId host = 0;
     Status status = Status::kAlive;
     unsigned misses = 0;
     unsigned failed_rounds = 0;
@@ -177,9 +243,18 @@ class FailureDetector {
   std::size_t find_or_add_peer(NodeId id);
 
   void schedule_tick();
-  /// Send one direct probe to the peer at table index `peer`; returns its
-  /// seq. The miss check is the round's (see tick()).
-  std::uint64_t probe(std::size_t peer);
+  /// Rebuild round_ from the leaf set: prune the peer table, add state for
+  /// new members, and fix each probe's table index.
+  void rebuild_round(const LeafSet& leaves);
+  /// Send the round's probes in probe order, one event per arrival
+  /// instant (see deliver_probes). The miss check is the round's timer.
+  void send_round();
+  /// A probe leg arrived: run each target's side in send order and send
+  /// the replies, one ack leg per arrival instant.
+  static void deliver_probes(PastryOverlay* overlay, net::SimNetwork* network, EventLoop* loop,
+                             std::uint32_t leg);
+  /// An ack leg arrived back at its sender.
+  static void deliver_acks(PastryOverlay* overlay, EventLoop* loop, std::uint32_t leg);
   /// Probe `seq` of the peer at `peer` has been outstanding for
   /// probe_timeout: a miss unless it was acked.
   void on_probe_timeout(std::size_t peer, std::uint64_t seq);
@@ -194,7 +269,7 @@ class FailureDetector {
   /// Drop state for peers that left the monitored set: genuinely dead ids
   /// never return (revival takes a fresh id), and ids that merely fell out
   /// of the leaf set are forgotten unless a death verdict must be kept.
-  void prune_state();
+  void prune_state(const LeafSet& leaves);
 
   FailureDetectorConfig config_;
   PastryOverlay* overlay_;
@@ -207,10 +282,12 @@ class FailureDetector {
   /// Last virtual time any peer acked a direct probe (isolation guard).
   SimDuration last_ack_time_{};
   /// The peer table: ids sorted ascending, and each id's state at the same
-  /// index. Searches walk the flat id array alone. Only tick() changes the
-  /// table (prune_state() erases, then find_or_add_peer() inserts) and
-  /// nothing holds a PeerState& or an index across a tick, except round_,
-  /// whose indices tick() fixes once the table is final.
+  /// index. Searches walk the flat id array alone. Only rebuild_round()
+  /// changes the table (prune_state() erases, then find_or_add_peer()
+  /// inserts) and nothing holds a PeerState& or an index across a tick,
+  /// except round_, whose indices rebuild_round() fixes once the table is
+  /// final, and the probes in flight, whose acks check that their index
+  /// still holds their target.
   std::vector<NodeId> peer_ids_;
   std::vector<PeerState> peer_states_;
   /// Entries of peer_states_ with status kDead. While it is zero, an
@@ -219,6 +296,12 @@ class FailureDetector {
   /// The current round's probes, checked by its single miss timer. Reused
   /// across rounds, so steady-state ticks do not allocate for it.
   std::vector<RoundProbe> round_;
+  /// The leaf-set version round_ was built from. While it still holds, no
+  /// verdict is held and none was given or healed since (round_stale_),
+  /// pruning would keep every entry and every member is in the table, so
+  /// tick() sends round_ again without rebuilding it.
+  std::uint64_t round_version_ = 0;
+  bool round_stale_ = true;
   FailureDetectorStats stats_;
 };
 

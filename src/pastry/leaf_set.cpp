@@ -42,6 +42,7 @@ bool LeafSet::insert(NodeId id) {
   } else if (++split_ > half_) {
     members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(--split_));
   }
+  ++version_;
   return true;
 }
 
@@ -50,6 +51,7 @@ bool LeafSet::remove(NodeId id) {
   if (it == members_.end()) return false;
   if (static_cast<std::size_t>(it - members_.begin()) < split_) --split_;
   members_.erase(it);
+  ++version_;
   return true;
 }
 

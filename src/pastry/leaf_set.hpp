@@ -7,6 +7,7 @@
 // final routing step and — in Kosha — defines where the K file replicas
 // live (paper §4.2).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -56,6 +57,12 @@ class LeafSet {
   /// The members on the smaller/larger side, closest first.
   [[nodiscard]] std::vector<NodeId> side(bool larger_side) const;
 
+  /// Bumped by every membership change (an insert or remove that returns
+  /// true), so a caller that derived state from the members can tell
+  /// whether it still holds: the failure detector reuses its probe round
+  /// while the version stands.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool underfull() const {
     return split_ < half_ || members_.size() - split_ < half_;
@@ -76,6 +83,7 @@ class LeafSet {
   // split_ is the smaller side's length.
   std::vector<NodeId> members_;
   std::size_t split_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace kosha::pastry

@@ -22,14 +22,13 @@
 #include <vector>
 
 #include "net/sim_network.hpp"
+#include "pastry/failure_detector.hpp"
 #include "pastry/leaf_set.hpp"
 #include "pastry/ring.hpp"
 #include "pastry/routing_table.hpp"
 #include "pastry/types.hpp"
 
 namespace kosha::pastry {
-
-class FailureDetector;
 
 /// Result of routing a key: the owning node, the overlay hops taken, and
 /// the route's wire time (hop latencies plus rpc_timeout per dead
@@ -111,6 +110,15 @@ class PastryOverlay {
   /// become no-ops instead of dangling. mark_dead() clears the slot.
   void set_detector(NodeId id, FailureDetector* detector);
   [[nodiscard]] FailureDetector* detector(NodeId id) const;
+  /// detector(id) for a node that lives (or lived) on `host`: one read of
+  /// the per-host table and an id check instead of an index probe. A
+  /// revived host runs a fresh id, so the check rejects its old one.
+  [[nodiscard]] FailureDetector* detector_on(net::HostId host, NodeId id) const {
+    const Node* n = host < node_by_host_.size() ? node_by_host_[host] : nullptr;
+    return n != nullptr && n->id == id ? n->detector : nullptr;
+  }
+  /// The heartbeat legs in flight, for every node's detector.
+  [[nodiscard]] HeartbeatLegPool& heartbeat_legs() { return heartbeat_legs_; }
 
   /// Observe confirmed failure reports (detection-latency metrics).
   void set_failure_listener(FailureListener listener) { failure_listener_ = std::move(listener); }
@@ -172,6 +180,7 @@ class PastryOverlay {
   std::vector<Node*> node_by_host_;
   Ring ring_;
   FailureListener failure_listener_;
+  HeartbeatLegPool heartbeat_legs_;
 };
 
 }  // namespace kosha::pastry

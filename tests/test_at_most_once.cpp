@@ -84,15 +84,15 @@ TEST(AtMostOnce, LossyNetworkNeverYieldsSpuriousExistOrNoEnt) {
 
   constexpr int kFiles = 30;
   for (int i = 0; i < kFiles; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     drive(clock, "create", nfs::NfsStat::kExist, [&] {
       const auto r = daemon.create(*dir, name);
       return r.ok() ? nfs::NfsStat::kOk : r.error();
     });
   }
   for (int i = 0; i < kFiles; ++i) {
-    const std::string from = "f" + std::to_string(i);
-    const std::string to = "g" + std::to_string(i);
+    const std::string from = std::string("f").append(std::to_string(i));
+    const std::string to = std::string("g").append(std::to_string(i));
     // A rename that already took effect leaves the source gone: kNoEnt is
     // the double-execution symptom here.
     drive(clock, "rename", nfs::NfsStat::kNoEnt, [&] {
@@ -101,7 +101,7 @@ TEST(AtMostOnce, LossyNetworkNeverYieldsSpuriousExistOrNoEnt) {
     });
   }
   for (int i = 0; i < kFiles; ++i) {
-    const std::string name = "g" + std::to_string(i);
+    const std::string name = std::string("g").append(std::to_string(i));
     drive(clock, "remove", nfs::NfsStat::kNoEnt, [&] {
       const auto r = daemon.remove(*dir, name);
       return r.ok() ? nfs::NfsStat::kOk : r.error();

@@ -135,7 +135,7 @@ TEST(ChaosSoak, DegradedReadsServeFromReplicasDuringBrownout) {
     for (const net::HostId host : cluster.live_hosts()) {
       if (host == 0) continue;
       for (const auto& [anchor, name] : cluster.replicas(host).primaries()) {
-        if (name == "d" + std::to_string(i)) {
+        if (name == std::string("d").append(std::to_string(i))) {
           primary = host;
           file = dir + "/f";
         }
@@ -179,7 +179,7 @@ TEST(ChaosSoak, ZeroReplicasCannotMaskABrownout) {
     for (const net::HostId host : cluster.live_hosts()) {
       if (host == 0) continue;
       for (const auto& [anchor, name] : cluster.replicas(host).primaries()) {
-        if (name == "d" + std::to_string(i)) {
+        if (name == std::string("d").append(std::to_string(i))) {
           primary = host;
           file = dir + "/f";
         }

@@ -275,7 +275,8 @@ TEST(ClusterChurn, SelfHealingChurnConvergesWithoutOracle) {
     ASSERT_TRUE(mount.mkdir_p(dir).ok());
     for (int i = 0; i < 2; ++i) {
       const std::string path = dir + "/f" + std::to_string(rng.next_below(5));
-      const std::string content = "r" + std::to_string(round) + "-" + rng.next_name(10);
+      const std::string content =
+          std::string("r").append(std::to_string(round)).append("-").append(rng.next_name(10));
       ASSERT_TRUE(mount.write_file(path, content).ok()) << path;
       expected[path] = content;
     }

@@ -48,7 +48,8 @@ std::string append_loop(const std::string& stamp, std::size_t bytes) {
 }
 
 std::string stamp_of(std::size_t client, std::size_t file) {
-  return "c" + std::to_string(client) + "f" + std::to_string(file) + ":";
+  return std::string("c").append(std::to_string(client)).append("f").append(
+      std::to_string(file)).append(":");
 }
 
 TEST(ContentHelpers, RepeatStampEqualsTheAppendLoop) {

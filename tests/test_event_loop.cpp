@@ -149,7 +149,8 @@ TEST(EventLoop, SameSeedRunsReplayIdentically) {
       });
     }
     loop.run_until_idle();
-    out += "@" + std::to_string(clock.now().ns);
+    out += '@';
+    out += std::to_string(clock.now().ns);
     return out;
   };
   EXPECT_EQ(transcript(42), transcript(42));

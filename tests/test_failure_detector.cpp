@@ -4,9 +4,12 @@
 // duplicate replicas); an isolated node quarantines its own verdicts
 // instead of declaring the whole ring dead; false declarations heal by
 // boot-verified reinstatement; same-seed runs are byte-identical. The
-// detector's fast paths (round indices fixed at the tick, acks found by
-// id, the reinstatement check skipped while no verdict is held) are
-// pinned on bare overlays where the timing can be forced.
+// detector's fast paths (round indices fixed at the tick, acks checked
+// against their target's id, the reinstatement check skipped while no
+// verdict is held) are pinned on bare overlays where the timing can be
+// forced. Five seeded soaks pin every total the detector produced when
+// each probe and ack was its own event, and a steady ring checks what a
+// round costs now that they travel in legs.
 
 #include <gtest/gtest.h>
 
@@ -417,6 +420,221 @@ TEST(FailureDetector, VerdictKeptAcrossPruningReinstatesOnABootMatchingProbe) {
   EXPECT_EQ(observer.death_verdicts(), 0u);
   EXPECT_TRUE(ring.overlay.leaf_set(ring.ids[0]).contains(suspect));
   for (const auto& d : ring.detectors) EXPECT_EQ(d->death_verdicts(), 0u);
+}
+
+/// Everything a heartbeat soak decides, one line per record: each live
+/// node's detector stats (by host), the wire's message, drop and timeout
+/// counts, and every detection with its instants. Carrying a round's
+/// probes and acks in one event per arrival instant, and reusing the
+/// round while the leaf set holds still, must leave every line as it was
+/// with one event per message.
+std::string soak_totals(KoshaCluster& cluster) {
+  std::string out;
+  auto field = [&out](std::uint64_t v) {
+    out += ' ';
+    out += std::to_string(v);
+  };
+  for (const net::HostId host : cluster.live_hosts()) {
+    const pastry::FailureDetector* d = cluster.detector(host);
+    if (d == nullptr) continue;
+    const pastry::FailureDetectorStats& s = d->stats();
+    out += "fd";
+    for (const std::uint64_t v : {std::uint64_t{host}, s.probes_sent, s.acks_received,
+                                  s.probe_misses, s.suspicions, s.indirect_rounds,
+                                  s.refutations, s.declared_dead, s.reinstated,
+                                  s.quarantined_verdicts}) {
+      field(v);
+    }
+    out += '\n';
+  }
+  const net::NetStats& net = cluster.network().stats();
+  out += "net";
+  for (const std::uint64_t v : {net.messages, net.drops, net.timeouts}) field(v);
+  out += '\n';
+  for (const auto& e : cluster.detections()) {
+    out += "detect";
+    for (const auto v : {std::int64_t{e.host}, e.failed_at.ns, e.detected_at.ns}) {
+      field(static_cast<std::uint64_t>(v));
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// A ten-node self-healing cluster with six files written, then `plan`.
+std::unique_ptr<KoshaCluster> soak_cluster(std::uint64_t seed, net::FaultPlanConfig plan,
+                                           unsigned suspicion_threshold = 3) {
+  ClusterConfig config = self_heal_config(10, seed);
+  config.self_heal.detector.suspicion_threshold = suspicion_threshold;
+  auto cluster = std::make_unique<KoshaCluster>(config);
+  KoshaMount mount(&cluster->daemon(0));
+  (void)write_dataset(mount, 6, "soak");
+  cluster->network().set_fault_plan(std::make_unique<net::FaultPlan>(plan));
+  return cluster;
+}
+
+/// Dispatch until `host`'s detector sends its next round.
+void run_to_next_round(KoshaCluster& cluster, net::HostId host) {
+  const std::uint64_t sent = cluster.detector(host)->stats().probes_sent;
+  while (cluster.detector(host)->stats().probes_sent == sent) {
+    ASSERT_TRUE(cluster.loop().step());
+  }
+}
+
+/// 5% drops, and three messages in ten pay a 20 ms spike: most rounds'
+/// probes reach their targets at two instants, and their acks come back
+/// at up to three. A crash mid-run is detected through the noise.
+TEST(FailureDetector, SpikyLossySoakMatchesPerMessageTotals) {
+  auto cluster = soak_cluster(87, net::FaultPlanConfig{88, 0.05, 0.3, SimDuration::millis(20)});
+  run_for(*cluster, SimDuration::seconds(2));
+  cluster->fail_node(cluster->live_hosts()[4]);
+  run_for(*cluster, SimDuration::seconds(4));
+  EXPECT_EQ(cluster->detections().size(), 1u);
+  EXPECT_EQ(soak_totals(*cluster),
+            "fd 0 471 423 43 1 2 0 1 0 0\n"
+            "fd 1 463 411 52 2 3 1 1 0 0\n"
+            "fd 2 462 417 45 2 3 1 1 0 0\n"
+            "fd 3 470 418 51 1 2 0 1 0 0\n"
+            "fd 5 471 422 49 1 2 0 1 0 0\n"
+            "fd 6 470 418 52 4 5 3 1 0 0\n"
+            "fd 7 470 410 60 2 3 1 1 0 0\n"
+            "fd 8 470 418 51 1 2 0 1 0 0\n"
+            "fd 9 471 427 44 1 2 0 1 0 0\n"
+            "net 9306 437 465\n"
+            "detect 4 2048641996 2395037304\n");
+}
+
+/// Every message pays a 60 ms spike, so each ack lands after its round's
+/// miss timer and after the sender's next tick. A join mid-run shifts the
+/// peer tables while those acks are on the wire, so an ack's carried
+/// table index goes stale and the ack must find its peer by id. Each
+/// peer's misses alternate between one and zero, so with a threshold of
+/// two one ack credited to the wrong peer tips a peer into suspicion.
+TEST(FailureDetector, LateAcksAcrossAJoinMatchPerMessageTotals) {
+  auto cluster = soak_cluster(97, net::FaultPlanConfig{98, 0.0, 1.0, SimDuration::millis(60)},
+                              /*suspicion_threshold=*/2);
+  run_for(*cluster, SimDuration::seconds(1));
+  (void)cluster->add_node();
+  run_for(*cluster, SimDuration::seconds(2));
+  EXPECT_EQ(total_stats(*cluster).suspicions, 0u);
+  EXPECT_EQ(soak_totals(*cluster),
+            "fd 0 271 261 261 0 0 0 0 0 0\n"
+            "fd 1 271 251 261 0 0 0 0 0 0\n"
+            "fd 2 271 261 271 0 0 0 0 0 0\n"
+            "fd 3 271 261 271 0 0 0 0 0 0\n"
+            "fd 4 271 261 261 0 0 0 0 0 0\n"
+            "fd 5 271 261 271 0 0 0 0 0 0\n"
+            "fd 6 271 261 261 0 0 0 0 0 0\n"
+            "fd 7 271 261 261 0 0 0 0 0 0\n"
+            "fd 8 271 261 261 0 0 0 0 0 0\n"
+            "fd 9 271 261 261 0 0 0 0 0 0\n"
+            "fd 10 180 170 180 0 0 0 0 0 0\n"
+            "net 6396 0 2820\n");
+}
+
+/// Joins under 2% drops: each one changes its neighbours' leaf sets, so
+/// their next round is rebuilt and probes the newcomer.
+TEST(FailureDetector, JoinsMidRunMatchPerMessageTotals) {
+  auto cluster = soak_cluster(91, net::FaultPlanConfig{92, 0.02, 0.0, {}});
+  run_for(*cluster, SimDuration::seconds(1));
+  const net::HostId first = cluster->add_node();
+  run_for(*cluster, SimDuration::millis(700));
+  const net::HostId second = cluster->add_node();
+  run_for(*cluster, SimDuration::seconds(2));
+  EXPECT_GT(cluster->detector(first)->stats().acks_received, 0u);
+  EXPECT_GT(cluster->detector(second)->stats().acks_received, 0u);
+  EXPECT_EQ(soak_totals(*cluster),
+            "fd 0 349 332 17 1 1 1 0 0 0\n"
+            "fd 1 349 331 18 0 0 0 0 0 0\n"
+            "fd 2 360 344 16 0 0 0 0 0 0\n"
+            "fd 3 349 336 13 0 0 0 0 0 0\n"
+            "fd 4 349 342 7 0 0 0 0 0 0\n"
+            "fd 5 349 334 15 0 0 0 0 0 0\n"
+            "fd 6 359 345 14 0 0 0 0 0 0\n"
+            "fd 7 349 333 16 0 0 0 0 0 0\n"
+            "fd 8 349 331 18 0 0 0 0 0 0\n"
+            "fd 9 360 346 14 0 0 0 0 0 0\n"
+            "fd 10 269 257 10 0 0 0 0 0 0\n"
+            "fd 11 198 192 6 0 0 0 0 0 0\n"
+            "net 8539 166 164\n");
+}
+
+/// A node is crashed and revived on its own host (a fresh id, a fresh
+/// detector) twice: once just after its detector sent a round, so its
+/// probes are still on the wire, and once with that round's acks on the
+/// wire. Its peers answer the dead incarnation's probes, and the acks
+/// must find no detector. (The host is up again at once, so indirect
+/// probes of an old id reach the host and refute every suspicion: the
+/// old ids stay undetected, which the totals record as they are.)
+TEST(FailureDetector, RevivalWithProbesInFlightMatchesPerMessageTotals) {
+  auto cluster = soak_cluster(93, net::FaultPlanConfig{94, 0.01, 0.0, {}});
+  const net::HostId host = cluster->live_hosts()[2];
+  run_for(*cluster, SimDuration::seconds(1));
+  run_to_next_round(*cluster, host);
+  cluster->fail_node(host);
+  cluster->revive_node(host);
+  run_for(*cluster, SimDuration::seconds(1));
+  run_to_next_round(*cluster, host);
+  // Past the probes' arrival, before the acks'.
+  cluster->loop().run_until_time(cluster->clock().now() + SimDuration::micros(200));
+  cluster->fail_node(host);
+  cluster->revive_node(host);
+  run_for(*cluster, SimDuration::seconds(2));
+  EXPECT_EQ(soak_totals(*cluster),
+            "fd 0 388 337 51 15 15 15 0 0 0\n"
+            "fd 1 388 334 54 15 15 15 0 0 0\n"
+            "fd 2 162 159 3 0 0 0 0 0 0\n"
+            "fd 3 388 330 58 15 15 15 0 0 0\n"
+            "fd 4 390 331 56 15 15 15 0 0 0\n"
+            "fd 5 388 338 50 15 15 15 0 0 0\n"
+            "fd 6 390 333 57 15 15 15 0 0 0\n"
+            "fd 7 388 334 54 15 15 15 0 0 0\n"
+            "fd 8 388 333 55 15 15 15 0 0 0\n"
+            "fd 9 388 336 52 15 15 15 0 0 0\n"
+            "net 9131 89 492\n");
+}
+
+/// A 1.2 s brownout outlasts the confirmation rounds, so the victim's
+/// neighbours declare it dead; when it ends, its probes carry the boot
+/// they recorded and reinstate it.
+TEST(FailureDetector, FalseVerdictAndReinstatementMatchPerMessageTotals) {
+  auto cluster = soak_cluster(95, net::FaultPlanConfig{96, 0.0, 0.0, {}});
+  const SimDuration t0 = cluster->clock().now();
+  cluster->network().fault_plan()->add_brownout(cluster->live_hosts()[6],
+                                                t0 + SimDuration::millis(300),
+                                                t0 + SimDuration::millis(1500));
+  run_for(*cluster, SimDuration::seconds(4));
+  const auto stats = total_stats(*cluster);
+  EXPECT_GT(stats.declared_dead, 0u);
+  EXPECT_GT(stats.reinstated, 0u);
+  EXPECT_TRUE(cluster->detections().empty());
+  EXPECT_EQ(soak_totals(*cluster),
+            "fd 0 326 322 4 1 2 0 1 1 0\n"
+            "fd 1 326 322 4 1 2 0 1 1 0\n"
+            "fd 2 326 322 4 1 2 0 1 1 0\n"
+            "fd 3 325 321 4 1 2 0 1 1 0\n"
+            "fd 4 326 322 4 1 2 0 1 1 0\n"
+            "fd 5 326 322 4 1 2 0 1 1 0\n"
+            "fd 6 333 234 99 9 90 9 0 0 45\n"
+            "fd 7 325 321 4 1 2 0 1 1 0\n"
+            "fd 8 326 322 4 1 2 0 1 1 0\n"
+            "fd 9 326 322 4 1 2 0 1 1 0\n"
+            "net 7283 186 135\n");
+}
+
+/// A steady ten-node ring with no faults: every round is four events (the
+/// tick, its miss timer, one probe leg and one ack leg), however many
+/// peers it probes. One event per probe and per ack would be 2 + 2 x 9.
+TEST(FailureDetector, SteadyRoundCostsFourEvents) {
+  DetectorRing ring(10, {});
+  ring.loop.run_until_time(ring.clock.now() + SimDuration::seconds(3));
+  std::uint64_t probes = 0;
+  for (const auto& d : ring.detectors) probes += d->stats().probes_sent;
+  const std::size_t peers = ring.overlay.leaf_set(ring.ids[0]).size();
+  ASSERT_EQ(peers, 9u);  // every node monitors every other
+  const std::uint64_t rounds = probes / peers;
+  ASSERT_GT(rounds, 200u);
+  EXPECT_LE(ring.loop.stats().executed, 4 * rounds);
 }
 
 TEST(FailureDetector, RejectsProbeTimeoutNotBelowPeriod) {

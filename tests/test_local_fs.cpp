@@ -295,7 +295,7 @@ TEST(LocalFs, InodeReuseStress) {
   for (int round = 0; round < 50; ++round) {
     std::vector<std::string> names;
     for (int i = 0; i < 20; ++i) {
-      const std::string name = "f" + std::to_string(i);
+      const std::string name = std::string("f").append(std::to_string(i));
       ASSERT_TRUE(store.create(store.root(), name).ok());
       names.push_back(name);
     }

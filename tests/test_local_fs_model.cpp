@@ -94,7 +94,7 @@ TEST_P(LocalFsModel, RandomOperationsMatchReference) {
     if (mdir == nullptr || mdir->type != FileType::kDirectory || fdir == kInvalidInode) {
       continue;
     }
-    const std::string name = "n" + std::to_string(rng.next_below(5));
+    const std::string name = std::string("n").append(std::to_string(rng.next_below(5)));
     const unsigned action = static_cast<unsigned>(rng.next_below(8));
 
     switch (action) {
@@ -177,7 +177,7 @@ TEST_P(LocalFsModel, RandomOperationsMatchReference) {
         break;
       }
       case 7: {  // rename within the same directory
-        const std::string to = "n" + std::to_string(rng.next_below(5));
+        const std::string to = std::string("n").append(std::to_string(rng.next_below(5)));
         const auto result = fs.rename(fdir, name, fdir, to);
         const auto src = mdir->children.find(name);
         bool model_ok = src != mdir->children.end();

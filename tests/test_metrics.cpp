@@ -61,7 +61,7 @@ TEST(MetricsRegistry, PointersAreStableAndNamed) {
   Counter* c = reg.counter("a.ops");
   c->inc();
   // Registering more instruments must not invalidate earlier pointers.
-  for (int i = 0; i < 100; ++i) (void)reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) (void)reg.counter(std::string("c").append(std::to_string(i)));
   c->inc(2);
   EXPECT_EQ(reg.counter("a.ops"), c);
   EXPECT_EQ(reg.find_counter("a.ops")->value(), 3u);

@@ -26,12 +26,13 @@ TEST(MultiClient, WritesVisibleEverywhereImmediately) {
 
   ASSERT_TRUE(mounts[0]->mkdir_p("/shared").ok());
   for (std::size_t writer = 0; writer < mounts.size(); ++writer) {
-    const std::string path = "/shared/from" + std::to_string(writer);
-    ASSERT_TRUE(mounts[writer]->write_file(path, "w" + std::to_string(writer)).ok());
+    const std::string path = std::string("/shared/from").append(std::to_string(writer));
+    const std::string content = std::string("w").append(std::to_string(writer));
+    ASSERT_TRUE(mounts[writer]->write_file(path, content).ok());
     for (std::size_t reader = 0; reader < mounts.size(); ++reader) {
-      const auto content = mounts[reader]->read_file(path);
-      ASSERT_TRUE(content.ok()) << writer << "->" << reader;
-      EXPECT_EQ(content.value(), "w" + std::to_string(writer));
+      const auto read = mounts[reader]->read_file(path);
+      ASSERT_TRUE(read.ok()) << writer << "->" << reader;
+      EXPECT_EQ(read.value(), content);
     }
   }
 }

@@ -37,7 +37,7 @@ TEST(ReplicaReads, SeesFreshWrites) {
   KoshaMount mount(&cluster.daemon(0));
   ASSERT_TRUE(mount.mkdir_p("/w").ok());
   for (int version = 0; version < 6; ++version) {
-    const std::string content = "v" + std::to_string(version);
+    const std::string content = std::string("v").append(std::to_string(version));
     ASSERT_TRUE(mount.write_file("/w/f", content).ok());
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(mount.read_file("/w/f").value(), content) << version;

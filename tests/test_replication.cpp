@@ -145,7 +145,10 @@ TEST(Replication, SequentialFailuresUpToK) {
   KoshaMount mount(&cluster.daemon(0));
   ASSERT_TRUE(mount.mkdir_p("/multi").ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(mount.write_file("/multi/f" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(mount
+                    .write_file(std::string("/multi/f").append(std::to_string(i)),
+                                std::string("v").append(std::to_string(i)))
+                    .ok());
   }
   // Kill primaries twice in a row; K=2 with re-replication tolerates this.
   for (int round = 0; round < 2; ++round) {
@@ -609,7 +612,7 @@ TEST(ReplicaSharing, MutationsThroughEitherStoreStayPrivate) {
   const auto copies = stored_copies(cluster, primary, stored);  // primary, then targets
   ASSERT_EQ(copies.size(), 3u);
   EXPECT_EQ(copies[0], expected);
-  EXPECT_EQ(copies[1], "!" + expected.substr(1));
+  EXPECT_EQ(copies[1], std::string("!").append(expected, 1));
   EXPECT_EQ(copies[2], expected);
   EXPECT_EQ(held, original);
   EXPECT_EQ(mount.read_file("/cow/f").value(), expected);

@@ -95,7 +95,7 @@ TEST_P(StorageParity, RandomOperationStreamsAgreeAcrossBackends) {
     ASSERT_EQ(fdir == kInvalidInode, cdir == kInvalidInode);
     if (fdir == kInvalidInode) continue;
     if (flat->getattr(fdir)->type != FileType::kDirectory) continue;
-    const std::string name = "n" + std::to_string(rng.next_below(5));
+    const std::string name = std::string("n").append(std::to_string(rng.next_below(5)));
     const unsigned action = static_cast<unsigned>(rng.next_below(8));
 
     switch (action) {
@@ -155,7 +155,7 @@ TEST_P(StorageParity, RandomOperationStreamsAgreeAcrossBackends) {
         break;
       }
       case 7: {
-        const std::string to = "n" + std::to_string(rng.next_below(5));
+        const std::string to = std::string("n").append(std::to_string(rng.next_below(5)));
         ASSERT_EQ(flat->rename(fdir, name, fdir, to).ok(),
                   cas->rename(cdir, name, cdir, to).ok())
             << name << "->" << to;
@@ -193,8 +193,8 @@ TEST_P(StorageParity, SharedPayloadsAgreeAcrossBackends) {
   std::vector<InodeId> fi;
   std::vector<InodeId> ci;
   for (std::size_t i = 0; i < kFiles; ++i) {
-    fi.push_back(*flat->create(flat->root(), "f" + std::to_string(i)));
-    ci.push_back(*cas->create(cas->root(), "f" + std::to_string(i)));
+    fi.push_back(*flat->create(flat->root(), std::string("f").append(std::to_string(i))));
+    ci.push_back(*cas->create(cas->root(), std::string("f").append(std::to_string(i))));
   }
   std::vector<Bytes> payloads;
   for (int i = 0; i < 4; ++i) payloads.emplace_back(rng.next_name(1 + rng.next_below(60)));

@@ -6,7 +6,7 @@
 //
 //   --metrics FILE   metrics snapshot (export_metrics_json output). Prints a
 //                    readable table; --csv re-emits `type,name,field,value`
-//                    rows instead (same shape as export_metrics_csv).
+//                    rows instead (MetricsRegistry::to_csv's shape).
 //   --trace FILE     trace stream (export_trace_jsonl output). Prints a
 //                    per-span-name summary; --tree renders the span forest.
 //   --prof FILE      simulator profile (BENCH_sim_profile.json from
