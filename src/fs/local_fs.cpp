@@ -5,11 +5,13 @@
 namespace kosha::fs {
 
 LocalFs::LocalFs(FsConfig config) : config_(config) {
+  static_assert(sizeof(Inode) <= 88, "an inode slot carries one payload");
   Inode root;
   root.allocated = true;
   root.type = FileType::kDirectory;
   root.mode = 0755;
   root.generation = 1;
+  root.payload.emplace<Entries>();
   inodes_.push_back(std::move(root));
   live_inodes_ = 1;
 }
@@ -43,6 +45,7 @@ InodeId LocalFs::allocate(FileType type, std::uint32_t mode, std::uint32_t uid,
   node.uid = uid;
   node.gid = gid;
   node.generation = generation;
+  if (type == FileType::kDirectory) node.payload.emplace<Entries>();
   node.mtime = ++mtime_counter_;
   ++live_inodes_;
   return id;
@@ -50,7 +53,7 @@ InodeId LocalFs::allocate(FileType type, std::uint32_t mode, std::uint32_t uid,
 
 void LocalFs::release(InodeId id) {
   Inode& node = inodes_[id - 1];
-  used_bytes_ -= node.type == FileType::kFile ? node.data.size() : 0;
+  used_bytes_ -= node.type == FileType::kFile ? node.data().size() : 0;
   const std::uint64_t generation = node.generation;
   node = Inode{};
   node.generation = generation;  // preserved so stale handles stay stale
@@ -73,8 +76,8 @@ FsResult<InodeId> LocalFs::lookup(InodeId dir, std::string_view name) const {
   const Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(name);
-  if (it == d->entries.end()) return FsStatus::kNoEnt;
+  const auto it = d->entries().find(name);
+  if (it == d->entries().end()) return FsStatus::kNoEnt;
   return it->second;
 }
 
@@ -84,10 +87,10 @@ FsResult<InodeId> LocalFs::create(InodeId dir, std::string_view name, std::uint3
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.contains(name)) return FsStatus::kExist;
+  if (d->entries().contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kFile, mode, uid, gid);
   d = get(dir);  // allocate() may have reallocated the inode table
-  d->entries.emplace(name, id);
+  d->entries().emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -98,10 +101,10 @@ FsResult<InodeId> LocalFs::mkdir(InodeId dir, std::string_view name, std::uint32
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.contains(name)) return FsStatus::kExist;
+  if (d->entries().contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kDirectory, mode, uid, gid);
   d = get(dir);  // allocate() may have reallocated the inode table
-  d->entries.emplace(name, id);
+  d->entries().emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -112,11 +115,11 @@ FsResult<InodeId> LocalFs::symlink(InodeId dir, std::string_view name,
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   if (!valid_name(name)) return FsStatus::kInval;
-  if (d->entries.contains(name)) return FsStatus::kExist;
+  if (d->entries().contains(name)) return FsStatus::kExist;
   const InodeId id = allocate(FileType::kSymlink, 0777, 0, 0);
   d = get(dir);  // allocate() may have reallocated the inode table
-  inodes_[id - 1].data = Bytes(target);
-  d->entries.emplace(name, id);
+  inodes_[id - 1].data() = Bytes(target);
+  d->entries().emplace(name, id);
   d->mtime = ++mtime_counter_;
   return id;
 }
@@ -125,12 +128,12 @@ FsResult<Unit> LocalFs::remove(InodeId dir, std::string_view name) {
   Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(name);
-  if (it == d->entries.end()) return FsStatus::kNoEnt;
+  const auto it = d->entries().find(name);
+  if (it == d->entries().end()) return FsStatus::kNoEnt;
   const Inode* target = get(it->second);
   if (target != nullptr && target->type == FileType::kDirectory) return FsStatus::kIsDir;
   release(it->second);
-  d->entries.erase(it);
+  d->entries().erase(it);
   d->mtime = ++mtime_counter_;
   return Unit{};
 }
@@ -139,13 +142,13 @@ FsResult<Unit> LocalFs::rmdir(InodeId dir, std::string_view name) {
   Inode* d = get(dir);
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
-  const auto it = d->entries.find(name);
-  if (it == d->entries.end()) return FsStatus::kNoEnt;
+  const auto it = d->entries().find(name);
+  if (it == d->entries().end()) return FsStatus::kNoEnt;
   const Inode* target = get(it->second);
   if (target == nullptr || target->type != FileType::kDirectory) return FsStatus::kNotDir;
-  if (!target->entries.empty()) return FsStatus::kNotEmpty;
+  if (!target->entries().empty()) return FsStatus::kNotEmpty;
   release(it->second);
-  d->entries.erase(it);
+  d->entries().erase(it);
   d->mtime = ++mtime_counter_;
   return Unit{};
 }
@@ -159,12 +162,12 @@ FsResult<Unit> LocalFs::rename(InodeId from_dir, std::string_view from_name, Ino
     return FsStatus::kNotDir;
   }
   if (!valid_name(to_name)) return FsStatus::kInval;
-  const auto it = fd->entries.find(from_name);
-  if (it == fd->entries.end()) return FsStatus::kNoEnt;
+  const auto it = fd->entries().find(from_name);
+  if (it == fd->entries().end()) return FsStatus::kNoEnt;
   const InodeId moving = it->second;
 
-  const auto dst = td->entries.find(to_name);
-  if (dst != td->entries.end()) {
+  const auto dst = td->entries().find(to_name);
+  if (dst != td->entries().end()) {
     if (dst->second == moving) return Unit{};  // no-op rename onto itself
     // POSIX semantics: replace a non-directory target; refuse directories
     // (keeps the simulation simple; Kosha never renames onto a directory).
@@ -173,10 +176,10 @@ FsResult<Unit> LocalFs::rename(InodeId from_dir, std::string_view from_name, Ino
       return FsStatus::kIsDir;
     }
     release(dst->second);
-    td->entries.erase(dst);
+    td->entries().erase(dst);
   }
-  fd->entries.erase(it);
-  td->entries.emplace(to_name, moving);
+  fd->entries().erase(it);
+  td->entries().emplace(to_name, moving);
   fd->mtime = ++mtime_counter_;
   td->mtime = ++mtime_counter_;
   return Unit{};
@@ -187,8 +190,8 @@ FsResult<std::vector<DirEntry>> LocalFs::readdir(InodeId dir) const {
   if (d == nullptr) return FsStatus::kStale;
   if (d->type != FileType::kDirectory) return FsStatus::kNotDir;
   std::vector<DirEntry> out;
-  out.reserve(d->entries.size());
-  for (const auto& [name, inode] : d->entries) {
+  out.reserve(d->entries().size());
+  for (const auto& [name, inode] : d->entries()) {
     const Inode* child = get(inode);
     out.push_back({name, inode, child != nullptr ? child->type : FileType::kFile});
   }
@@ -203,9 +206,9 @@ FsResult<Attr> LocalFs::getattr(InodeId inode) const {
   a.mode = n->mode;
   a.uid = n->uid;
   a.gid = n->gid;
-  a.size = n->type == FileType::kDirectory ? n->entries.size()
+  a.size = n->type == FileType::kDirectory ? n->entries().size()
            : n->type == FileType::kFile     ? file_content_bytes(inode)
-                                            : n->data.size();
+                                            : n->data().size();
   a.mtime = n->mtime;
   a.inode = inode;
   a.generation = n->generation;
@@ -224,14 +227,14 @@ FsResult<Unit> LocalFs::truncate(InodeId inode, std::uint64_t size) {
   Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
-  if (size > n->data.size()) {
-    const std::uint64_t extra = size - n->data.size();
+  if (size > n->data().size()) {
+    const std::uint64_t extra = size - n->data().size();
     if (would_exceed(extra)) return FsStatus::kNoSpace;
     used_bytes_ += extra;
   } else {
-    used_bytes_ -= n->data.size() - size;
+    used_bytes_ -= n->data().size() - size;
   }
-  shared_copy_bytes_ += n->data.resize(size);
+  shared_copy_bytes_ += n->data().resize(size);
   n->mtime = ++mtime_counter_;
   return Unit{};
 }
@@ -242,12 +245,12 @@ FsResult<std::uint32_t> LocalFs::write(InodeId inode, std::uint64_t offset,
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
   const std::uint64_t end = offset + data.size();
-  if (end > n->data.size()) {
-    const std::uint64_t extra = end - n->data.size();
+  if (end > n->data().size()) {
+    const std::uint64_t extra = end - n->data().size();
     if (would_exceed(extra)) return FsStatus::kNoSpace;
     used_bytes_ += extra;
   }
-  shared_copy_bytes_ += n->data.write(offset, data);
+  shared_copy_bytes_ += n->data().write(offset, data);
   n->mtime = ++mtime_counter_;
   return static_cast<std::uint32_t>(data.size());
 }
@@ -256,14 +259,14 @@ FsResult<Bytes> LocalFs::read(InodeId inode, std::uint64_t offset, std::uint32_t
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kFile) return FsStatus::kIsDir;
-  return n->data.slice(offset, count);
+  return n->data().slice(offset, count);
 }
 
 FsResult<std::string> LocalFs::readlink(InodeId inode) const {
   const Inode* n = get(inode);
   if (n == nullptr) return FsStatus::kStale;
   if (n->type != FileType::kSymlink) return FsStatus::kInval;
-  return std::string(n->data.view());
+  return std::string(n->data().view());
 }
 
 FsResult<InodeId> LocalFs::resolve(std::string_view path) const {
@@ -306,8 +309,8 @@ FsResult<Unit> LocalFs::remove_recursive(InodeId dir, std::string_view name) {
   if (n->type == FileType::kDirectory) {
     // Copy names: releasing children mutates the map we iterate.
     std::vector<std::string> names;
-    names.reserve(n->entries.size());
-    for (const auto& [child_name, inode] : n->entries) {
+    names.reserve(n->entries().size());
+    for (const auto& [child_name, inode] : n->entries()) {
       (void)inode;
       names.push_back(child_name);
     }
@@ -321,7 +324,7 @@ FsResult<Unit> LocalFs::remove_recursive(InodeId dir, std::string_view name) {
 
 std::uint64_t LocalFs::file_content_bytes(InodeId id) const {
   const Inode* n = get(id);
-  return n == nullptr ? 0 : n->data.size();
+  return n == nullptr ? 0 : n->data().size();
 }
 
 std::uint64_t LocalFs::subtree_bytes(InodeId inode) const {
@@ -330,7 +333,7 @@ std::uint64_t LocalFs::subtree_bytes(InodeId inode) const {
   if (n->type == FileType::kFile) return file_content_bytes(inode);
   if (n->type == FileType::kSymlink) return 0;
   std::uint64_t total = 0;
-  for (const auto& [name, child] : n->entries) {
+  for (const auto& [name, child] : n->entries()) {
     (void)name;
     total += subtree_bytes(child);
   }
@@ -343,7 +346,7 @@ std::uint64_t LocalFs::subtree_file_count(InodeId inode) const {
   if (n->type == FileType::kFile) return 1;
   if (n->type == FileType::kSymlink) return 0;
   std::uint64_t total = 0;
-  for (const auto& [name, child] : n->entries) {
+  for (const auto& [name, child] : n->entries()) {
     (void)name;
     total += subtree_file_count(child);
   }
@@ -368,6 +371,7 @@ void LocalFs::purge() {
   root.allocated = true;
   root.type = FileType::kDirectory;
   root.mode = 0755;
+  root.payload.emplace<Entries>();
   live_inodes_ = 1;
 }
 

@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/result.hpp"
@@ -100,6 +101,14 @@ class LocalFs : public StorageBackend {
  protected:
   static constexpr InodeId kRootInode = 1;
 
+  /// Directory children; the transparent comparator looks names up as
+  /// string_views without building a string.
+  using Entries = std::map<std::string, InodeId, std::less<>>;
+
+  /// One slot of the inode table. It holds the one payload its type uses:
+  /// a directory's entries, or a file's content or a symlink's target. A
+  /// free slot keeps only its generation (and an empty payload), so a
+  /// slot costs 88 bytes whatever it held.
   struct Inode {
     bool allocated = false;
     FileType type = FileType::kFile;
@@ -108,10 +117,12 @@ class LocalFs : public StorageBackend {
     std::uint32_t gid = 0;
     std::uint64_t mtime = 0;
     std::uint64_t generation = 0;
-    Bytes data;  // file content / symlink target
-    /// Directory children; the transparent comparator looks names up as
-    /// string_views without building a string.
-    std::map<std::string, InodeId, std::less<>> entries;
+    std::variant<Bytes, Entries> payload;
+
+    [[nodiscard]] Bytes& data() { return std::get<Bytes>(payload); }
+    [[nodiscard]] const Bytes& data() const { return std::get<Bytes>(payload); }
+    [[nodiscard]] Entries& entries() { return std::get<Entries>(payload); }
+    [[nodiscard]] const Entries& entries() const { return std::get<Entries>(payload); }
   };
 
   [[nodiscard]] const Inode* get(InodeId id) const;

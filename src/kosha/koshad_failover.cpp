@@ -28,7 +28,7 @@ nfs::NfsStat Koshad::failover_ladder(
     VirtualHandle vh, const std::function<nfs::NfsStat(const Resolved&)>& attempt) {
   const VhEntry* entry = vht_.find(vh);
   if (entry == nullptr) return nfs::NfsStat::kStale;
-  const std::string path = entry->path;  // copy: the table may rehash below
+  const std::string path = entry->path;  // copy: the ladder drops this entry below
   const Resolved cached{entry->real.server, entry->real, entry->stored_path, entry->type};
 
   // kosha-lint: edge(Koshad::with_handle): attempt is the type-erased retry

@@ -7,54 +7,55 @@ namespace kosha {
 VirtualHandle VirtualHandleTable::bind(const std::string& path, const std::string& stored_path,
                                        const nfs::FileHandle& real, fs::FileType type) {
   if (const auto it = by_path_.find(path); it != by_path_.end()) {
-    VhEntry& entry = entries_[it->second];
+    VhEntry& entry = *entries_[it->second - 1];
     entry.stored_path = stored_path;
     entry.real = real;
     entry.type = type;
     return {it->second};
   }
-  const std::uint64_t id = next_++;
-  entries_[id] = {path, stored_path, real, type};
-  by_path_[path] = id;
+  if (entries_.empty()) entries_.reserve(kFirstSlots);
+  entries_.push_back(std::make_unique<VhEntry>(VhEntry{path, stored_path, real, type}));
+  const std::uint64_t id = entries_.size();
+  by_path_.emplace(entries_.back()->path, id);
   return {id};
 }
 
-const VhEntry* VirtualHandleTable::find(VirtualHandle vh) const {
-  const auto it = entries_.find(vh.value);
-  return it == entries_.end() ? nullptr : &it->second;
+VhEntry* VirtualHandleTable::slot(VirtualHandle vh) const {
+  // Handle 0 wraps to the largest index and misses like any unissued one.
+  const std::uint64_t index = vh.value - 1;
+  return index < entries_.size() ? entries_[index].get() : nullptr;
 }
 
-std::optional<VirtualHandle> VirtualHandleTable::find_by_path(const std::string& path) const {
+const VhEntry* VirtualHandleTable::find(VirtualHandle vh) const { return slot(vh); }
+
+std::optional<VirtualHandle> VirtualHandleTable::find_by_path(std::string_view path) const {
   const auto it = by_path_.find(path);
   if (it == by_path_.end()) return std::nullopt;
   return VirtualHandle{it->second};
 }
 
 void VirtualHandleTable::drop(VirtualHandle vh) {
-  const auto it = entries_.find(vh.value);
-  if (it == entries_.end()) return;
-  by_path_.erase(it->second.path);
-  entries_.erase(it);
+  if (slot(vh) == nullptr) return;
+  std::unique_ptr<VhEntry>& entry = entries_[vh.value - 1];
+  by_path_.erase(entry->path);
+  entry.reset();
 }
 
 void VirtualHandleTable::drop_subtree(const std::string& path) {
-  // kosha-lint: allow(unordered-iter): erase-sweep — survivors independent of visit order
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (path_is_within(it->second.path, path)) {
-      by_path_.erase(it->second.path);
-      it = entries_.erase(it);
-    } else {
-      ++it;
+  for (std::unique_ptr<VhEntry>& entry : entries_) {
+    if (entry != nullptr && path_is_within(entry->path, path)) {
+      by_path_.erase(entry->path);
+      entry.reset();
     }
   }
 }
 
 bool VirtualHandleTable::rebind(VirtualHandle vh, const std::string& stored_path,
                                 const nfs::FileHandle& real) {
-  const auto it = entries_.find(vh.value);
-  if (it == entries_.end()) return false;
-  it->second.stored_path = stored_path;
-  it->second.real = real;
+  VhEntry* entry = slot(vh);
+  if (entry == nullptr) return false;
+  entry->stored_path = stored_path;
+  entry->real = real;
   return true;
 }
 

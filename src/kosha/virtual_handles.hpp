@@ -10,9 +10,12 @@
 // persistent: if koshad crashes the whole machine crashed (§4.4).
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "nfs/nfs_types.hpp"
 
@@ -34,6 +37,12 @@ struct VhEntry {
   fs::FileType type = fs::FileType::kFile;
 };
 
+/// Handles are issued densely (1, 2, 3, ...) and never reused, so the
+/// table is a vector indexed by handle; a dropped handle leaves an empty
+/// slot. Each entry is boxed: a pointer from find() stays valid across
+/// bind() and rebind() of any handle, and only a drop or drop_subtree
+/// that removes that entry ends it. A caller that may drop (directly, or
+/// through a failover that re-resolves) copies what it needs first.
 class VirtualHandleTable {
  public:
   /// Insert or refresh the mapping for `path`; returns its virtual handle
@@ -42,7 +51,7 @@ class VirtualHandleTable {
                      const nfs::FileHandle& real, fs::FileType type);
 
   [[nodiscard]] const VhEntry* find(VirtualHandle vh) const;
-  [[nodiscard]] std::optional<VirtualHandle> find_by_path(const std::string& path) const;
+  [[nodiscard]] std::optional<VirtualHandle> find_by_path(std::string_view path) const;
 
   /// Drop one handle (e.g. after an RPC error, before re-resolution).
   void drop(VirtualHandle vh);
@@ -54,19 +63,21 @@ class VirtualHandleTable {
   /// the client's virtual handle survives).
   bool rebind(VirtualHandle vh, const std::string& stored_path, const nfs::FileHandle& real);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return by_path_.size(); }
 
  private:
-  std::uint64_t next_ = 1;
-  std::unordered_map<std::uint64_t, VhEntry> entries_;
-  std::unordered_map<std::string, std::uint64_t> by_path_;
+  /// Slots reserved by the first bind: doubling from one would reallocate
+  /// more often than the hash maps this table replaced.
+  static constexpr std::size_t kFirstSlots = 64;
+
+  [[nodiscard]] VhEntry* slot(VirtualHandle vh) const;
+
+  /// entries_[h - 1] holds handle h's entry, null once dropped.
+  std::vector<std::unique_ptr<VhEntry>> entries_;
+  /// Live handles by path. Each key views its own entry's path, which is
+  /// set once and lives in the box, so the key never outlives it: drop
+  /// erases the key before it frees the entry.
+  std::unordered_map<std::string_view, std::uint64_t> by_path_;
 };
 
 }  // namespace kosha
-
-template <>
-struct std::hash<kosha::VirtualHandle> {
-  std::size_t operator()(const kosha::VirtualHandle& vh) const noexcept {
-    return std::hash<std::uint64_t>{}(vh.value);
-  }
-};

@@ -49,10 +49,15 @@ NfsClient::NfsClient(net::SimNetwork* network, const ServerDirectory* directory,
       retry_(retry),
       jitter_rng_(jitter_seed ^ (0x9E3779B97F4A7C15ull * (self + 1))) {
   assert(network_ != nullptr && directory_ != nullptr);
+  // With metrics on, the instrument table comes with the client, so an
+  // operation never pays for it; off, the client holds a null pointer.
+  if (network_->metrics() != nullptr) proc_metrics_ = std::make_unique<ProcMetricsTable>();
 }
 
 NfsClient::ProcMetrics& NfsClient::proc_metrics(NfsProc proc) {
-  ProcMetrics& pm = proc_metrics_[proc_slot(proc)];
+  // Metrics switched on after this client was built.
+  if (proc_metrics_ == nullptr) proc_metrics_ = std::make_unique<ProcMetricsTable>();
+  ProcMetrics& pm = (*proc_metrics_)[proc_slot(proc)];
   if (!pm.resolved) {
     MetricsRegistry* metrics = network_->metrics();
     const std::string base = std::string("nfs.client.") + proc_name(proc);

@@ -170,13 +170,14 @@ class NfsClient {
   NfsResult<ReplyT> transact(NfsProc proc, net::HostId server, std::size_t request_bytes,
                              Invoke&& invoke, ReplyBytes&& reply_bytes);
 
-  /// Lazily-resolved instruments for one procedure (null when metrics off).
+  /// Lazily-resolved instruments for one procedure.
   struct ProcMetrics {
     bool resolved = false;
     Histogram* latency = nullptr;
     Counter* ok = nullptr;
     Counter* error = nullptr;
   };
+  using ProcMetricsTable = std::array<ProcMetrics, net::kNetProcSlots>;
   [[nodiscard]] ProcMetrics& proc_metrics(NfsProc proc);
 
   /// RPC identity for a non-idempotent call, carrying the current trace
@@ -216,7 +217,9 @@ class NfsClient {
   /// and deadline bounces reaching it as replies).
   std::uint64_t overloaded_replies_ = 0;
   SimDuration op_deadline_{};
-  std::array<ProcMetrics, net::kNetProcSlots> proc_metrics_{};
+  /// Null while metrics are off: a client without metrics carries one
+  /// pointer instead of a table of null instruments (DESIGN §5b).
+  std::unique_ptr<ProcMetricsTable> proc_metrics_;
 };
 
 // ---------------------------------------------------------------------------

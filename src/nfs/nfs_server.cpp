@@ -116,18 +116,52 @@ const NfsServer::DrcEntry* NfsServer::drc_find(RpcContext ctx, ReplyShape want) 
   return &it->second;
 }
 
+NfsServer::DrcEntry NfsServer::DrcEntry::of(const NfsResult<HandleReply>& reply) {
+  if (!reply.ok()) return {.status = reply.error(), .shape = ReplyShape::kHandle};
+  return {.shape = ReplyShape::kHandle, .handle = reply->handle, .attr = reply->attr};
+}
+
+NfsServer::DrcEntry NfsServer::DrcEntry::of(const NfsResult<fs::Attr>& reply) {
+  if (!reply.ok()) return {.status = reply.error(), .shape = ReplyShape::kAttr};
+  return {.shape = ReplyShape::kAttr, .attr = *reply};
+}
+
+NfsServer::DrcEntry NfsServer::DrcEntry::of(const NfsResult<Unit>& reply) {
+  return {.status = reply.ok() ? NfsStat::kOk : reply.error(), .shape = ReplyShape::kUnit};
+}
+
+NfsResult<HandleReply> NfsServer::DrcEntry::handle_reply() const {
+  if (status != NfsStat::kOk) return status;
+  return HandleReply{handle, attr};
+}
+
+NfsResult<fs::Attr> NfsServer::DrcEntry::attr_reply() const {
+  if (status != NfsStat::kOk) return status;
+  return attr;
+}
+
+NfsResult<Unit> NfsServer::DrcEntry::unit_reply() const {
+  if (status != NfsStat::kOk) return status;
+  return Unit{};
+}
+
 void NfsServer::drc_store(RpcContext ctx, DrcEntry entry) {
+  static_assert(sizeof(DrcEntry) <= 88, "a cached reply is one flat entry");
   if (!ctx.valid()) return;
   entry.boot = ctx.boot;
   const std::uint64_t key = drc_key(ctx);
   // insert_or_assign: a re-executed request whose key matched a stale entry
   // (incarnation or shape mismatch in drc_find) must replace that entry, or
-  // its own retransmissions would re-execute on every arrival.
-  if (drc_.insert_or_assign(key, std::move(entry)).second) {
-    drc_order_.push_back(key);
-    while (drc_order_.size() > kDrcCapacity) {
-      drc_.erase(drc_order_.front());
-      drc_order_.pop_front();
+  // its own retransmissions would re-execute on every arrival. The
+  // replacement keeps the key's place in the FIFO.
+  if (drc_.insert_or_assign(key, entry).second) {
+    if (drc_order_.size() < kDrcCapacity) {
+      if (drc_order_.empty()) drc_order_.reserve(kDrcFirstKeys);
+      drc_order_.push_back(key);
+    } else {
+      drc_.erase(drc_order_[drc_oldest_]);
+      drc_order_[drc_oldest_] = key;
+      drc_oldest_ = (drc_oldest_ + 1) % kDrcCapacity;
     }
   }
   ++drc_stats_.stores;
@@ -148,6 +182,7 @@ void NfsServer::set_observability(MetricsRegistry* metrics, Tracer* tracer) {
 void NfsServer::clear_drc() {
   drc_.clear();
   drc_order_.clear();
+  drc_oldest_ = 0;
 }
 
 NfsResult<fs::InodeId> NfsServer::resolve(FileHandle handle) const {
@@ -194,7 +229,7 @@ NfsResult<fs::Attr> NfsServer::set_mode(FileHandle obj, std::uint32_t mode,
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kAttr)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->attr_reply;
+    return hit->attr_reply();
   }
   charge(costs_.metadata_op);
   const auto inode = resolve(obj);
@@ -205,7 +240,7 @@ NfsResult<fs::Attr> NfsServer::set_mode(FileHandle obj, std::uint32_t mode,
   } else {
     reply = *store_->getattr(inode.value());
   }
-  drc_store(ctx, {.attr_reply = reply, .shape = ReplyShape::kAttr});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -216,7 +251,7 @@ NfsResult<fs::Attr> NfsServer::truncate(FileHandle obj, std::uint64_t size,
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kAttr)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->attr_reply;
+    return hit->attr_reply();
   }
   charge(costs_.metadata_op);
   const auto inode = resolve(obj);
@@ -227,7 +262,7 @@ NfsResult<fs::Attr> NfsServer::truncate(FileHandle obj, std::uint64_t size,
   } else {
     reply = *store_->getattr(inode.value());
   }
-  drc_store(ctx, {.attr_reply = reply, .shape = ReplyShape::kAttr});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -267,18 +302,18 @@ NfsResult<HandleReply> NfsServer::create(FileHandle dir, std::string_view name,
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kHandle)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->handle_reply;
+    return hit->handle_reply();
   }
   charge(costs_.metadata_op);
   const auto d = resolve(dir);
   if (!d.ok()) return fail(span, d.error());
   const auto inode = store_->create(d.value(), name, mode, uid, gid);
   if (!inode.ok()) {
-    drc_store(ctx, {.handle_reply = from_fs(inode.error()), .shape = ReplyShape::kHandle});
+    drc_store(ctx, {.status = from_fs(inode.error()), .shape = ReplyShape::kHandle});
     return fail(span, from_fs(inode.error()));
   }
   const HandleReply reply{handle_for(inode.value()), *store_->getattr(inode.value())};
-  drc_store(ctx, {.handle_reply = reply, .shape = ReplyShape::kHandle});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -290,18 +325,18 @@ NfsResult<HandleReply> NfsServer::mkdir(FileHandle dir, std::string_view name,
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kHandle)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->handle_reply;
+    return hit->handle_reply();
   }
   charge(costs_.metadata_op);
   const auto d = resolve(dir);
   if (!d.ok()) return fail(span, d.error());
   const auto inode = store_->mkdir(d.value(), name, mode, uid, gid);
   if (!inode.ok()) {
-    drc_store(ctx, {.handle_reply = from_fs(inode.error()), .shape = ReplyShape::kHandle});
+    drc_store(ctx, {.status = from_fs(inode.error()), .shape = ReplyShape::kHandle});
     return fail(span, from_fs(inode.error()));
   }
   const HandleReply reply{handle_for(inode.value()), *store_->getattr(inode.value())};
-  drc_store(ctx, {.handle_reply = reply, .shape = ReplyShape::kHandle});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -312,18 +347,18 @@ NfsResult<HandleReply> NfsServer::symlink(FileHandle dir, std::string_view name,
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kHandle)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->handle_reply;
+    return hit->handle_reply();
   }
   charge(costs_.metadata_op);
   const auto d = resolve(dir);
   if (!d.ok()) return fail(span, d.error());
   const auto inode = store_->symlink(d.value(), name, target);
   if (!inode.ok()) {
-    drc_store(ctx, {.handle_reply = from_fs(inode.error()), .shape = ReplyShape::kHandle});
+    drc_store(ctx, {.status = from_fs(inode.error()), .shape = ReplyShape::kHandle});
     return fail(span, from_fs(inode.error()));
   }
   const HandleReply reply{handle_for(inode.value()), *store_->getattr(inode.value())};
-  drc_store(ctx, {.handle_reply = reply, .shape = ReplyShape::kHandle});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -343,7 +378,7 @@ NfsResult<Unit> NfsServer::remove(FileHandle dir, std::string_view name, RpcCont
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kUnit)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->unit_reply;
+    return hit->unit_reply();
   }
   charge(costs_.metadata_op);
   const auto d = resolve(dir);
@@ -352,7 +387,7 @@ NfsResult<Unit> NfsServer::remove(FileHandle dir, std::string_view name, RpcCont
   if (const auto r = store_->remove(d.value(), name); !r.ok()) {
     reply = fail(span, from_fs(r.error()));
   }
-  drc_store(ctx, {.unit_reply = reply, .shape = ReplyShape::kUnit});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -362,7 +397,7 @@ NfsResult<Unit> NfsServer::rmdir(FileHandle dir, std::string_view name, RpcConte
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kUnit)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->unit_reply;
+    return hit->unit_reply();
   }
   charge(costs_.metadata_op);
   const auto d = resolve(dir);
@@ -371,7 +406,7 @@ NfsResult<Unit> NfsServer::rmdir(FileHandle dir, std::string_view name, RpcConte
   if (const auto r = store_->rmdir(d.value(), name); !r.ok()) {
     reply = fail(span, from_fs(r.error()));
   }
-  drc_store(ctx, {.unit_reply = reply, .shape = ReplyShape::kUnit});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 
@@ -383,7 +418,7 @@ NfsResult<Unit> NfsServer::rename(FileHandle from_dir, std::string_view from_nam
   if (const DrcEntry* hit = drc_find(ctx, ReplyShape::kUnit)) {
     span.tag("drc", "hit");
     charge(costs_.read_meta);
-    return hit->unit_reply;
+    return hit->unit_reply();
   }
   charge(costs_.metadata_op);
   const auto fd = resolve(from_dir);
@@ -394,7 +429,7 @@ NfsResult<Unit> NfsServer::rename(FileHandle from_dir, std::string_view from_nam
   if (const auto r = store_->rename(fd.value(), from_name, td.value(), to_name); !r.ok()) {
     reply = fail(span, from_fs(r.error()));
   }
-  drc_store(ctx, {.unit_reply = reply, .shape = ReplyShape::kUnit});
+  drc_store(ctx, DrcEntry::of(reply));
   return reply;
 }
 

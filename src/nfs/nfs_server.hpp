@@ -9,10 +9,10 @@
 // Table 1/2 experiments measure stable, host-independent numbers.
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/sim_clock.hpp"
 #include "nfs/nfs_types.hpp"
@@ -113,26 +113,38 @@ class NfsServer {
   void clear_drc();
 
  private:
-  /// Which of a DrcEntry's result slots is meaningful — the cached
-  /// procedure's reply shape. Checked on lookup so a (client, xid) collision
-  /// across procedures never yields a reply of the wrong type.
+  /// The cached procedure's reply shape. Checked on lookup so a (client,
+  /// xid) collision across procedures never yields a reply of the wrong
+  /// type.
   enum class ReplyShape { kHandle, kUnit, kAttr };
 
-  /// One remembered reply; exactly one of the results is meaningful
-  /// depending on the cached procedure's reply shape, and the entry only
-  /// answers requests from the same client incarnation (`boot`).
+  /// One remembered reply, flattened: its status, and on success the
+  /// fields its shape returns (a handle and attributes, attributes, or
+  /// nothing). The entry only answers requests from the same client
+  /// incarnation (`boot`).
   struct DrcEntry {
-    NfsResult<HandleReply> handle_reply{NfsStat::kInval};
-    NfsResult<Unit> unit_reply{NfsStat::kInval};
-    NfsResult<fs::Attr> attr_reply{NfsStat::kInval};
+    NfsStat status = NfsStat::kOk;
     ReplyShape shape = ReplyShape::kUnit;
     std::uint64_t boot = 0;
+    FileHandle handle{};  // kHandle replies
+    fs::Attr attr{};      // kHandle and kAttr replies
+
+    [[nodiscard]] static DrcEntry of(const NfsResult<HandleReply>& reply);
+    [[nodiscard]] static DrcEntry of(const NfsResult<fs::Attr>& reply);
+    [[nodiscard]] static DrcEntry of(const NfsResult<Unit>& reply);
+    [[nodiscard]] NfsResult<HandleReply> handle_reply() const;
+    [[nodiscard]] NfsResult<fs::Attr> attr_reply() const;
+    [[nodiscard]] NfsResult<Unit> unit_reply() const;
   };
 
   /// Replies remembered per (client, xid); FIFO-bounded like a real
   /// server's fixed-size DRC. Boot verifier and reply shape are checked on
   /// lookup, so a key match alone never yields a foreign reply.
   static constexpr std::size_t kDrcCapacity = 512;
+  /// The ring's first allocation: one 512-byte block, what a deque block
+  /// costs, so a server that caches replies allocates no more often than
+  /// a deque FIFO did.
+  static constexpr std::size_t kDrcFirstKeys = 64;
 
   [[nodiscard]] static std::uint64_t drc_key(RpcContext ctx) {
     return (static_cast<std::uint64_t>(ctx.client) << 32) | ctx.xid;
@@ -158,7 +170,13 @@ class NfsServer {
   std::uint64_t rpc_count_ = 0;
   std::uint64_t deadline_rejects_ = 0;
   std::unordered_map<std::uint64_t, DrcEntry> drc_;
-  std::deque<std::uint64_t> drc_order_;
+  /// The cached keys in store order, as a ring: unallocated until the
+  /// first store, it grows to kDrcCapacity and then each new key
+  /// overwrites the oldest, at drc_oldest_. A replaced entry keeps its
+  /// place. (No std::deque: libstdc++'s allocates when constructed, and
+  /// at 10,000 nodes most servers never store a reply.)
+  std::vector<std::uint64_t> drc_order_;
+  std::size_t drc_oldest_ = 0;
   DrcStats drc_stats_;
   Tracer* tracer_ = nullptr;
   Counter* drc_hit_ = nullptr;

@@ -345,7 +345,11 @@ void FailureDetector::start_confirmation_round(NodeId target, std::uint64_t gene
   ++stats_.indirect_rounds;
   const SimDuration now = loop_->now();
   const net::HostId target_host = overlay_->host_of(target);
-  const bool target_up = network_->is_up(target_host);
+  // The relayed probe answers for the suspect's id, not its host: a node
+  // crashed and revived on that host runs a fresh id, and the old one must
+  // stay unreachable (the rule deliver_probes applies to direct probes).
+  const bool target_up = network_->is_up(target_host) &&
+                         overlay_->detector_on(target_host, target) != nullptr;
 
   // Ask up to indirect_probes helper neighbors (leaf members this node
   // still believes alive) to probe the suspect on our behalf. Each chain

@@ -22,10 +22,11 @@ LeafSet::LeafSet(NodeId owner, unsigned half) : owner_(owner), half_(half) {
 }
 
 bool LeafSet::insert(NodeId id) {
-  if (id == owner_ || contains(id)) return false;
+  if (id == owner_) return false;
   const Uint128 down = owner_ - id;  // offset walking counter-clockwise
   const Uint128 up = id - owner_;    // offset walking clockwise
-  // Assign to the nearer side (ties go to the larger side).
+  // Assign to the nearer side (ties go to the larger side). A member's side
+  // depends only on (owner, id), so a present `id` sits on this side.
   const bool larger_side = up <= down;
   auto offset_of = [&](NodeId n) { return larger_side ? n - owner_ : owner_ - n; };
   const Uint128 offset = larger_side ? up : down;
@@ -33,9 +34,13 @@ bool LeafSet::insert(NodeId id) {
   const auto middle = members_.begin() + static_cast<std::ptrdiff_t>(split_);
   const auto begin = larger_side ? middle : members_.begin();
   const auto end = larger_side ? members_.end() : middle;
-  const auto pos = std::find_if(begin, end, [&](NodeId n) { return offset < offset_of(n); });
   const auto side_size = static_cast<std::size_t>(end - begin);
-  if (pos == end && side_size >= half_) return false;  // farther than all
+  // Farther than the last member of a full side: rejected without a scan.
+  if (side_size >= half_ && (begin == end || offset_of(*(end - 1)) < offset)) return false;
+  // Offsets on a side are distinct and ascending, so the first member not
+  // closer than `id` is `id` itself when it is already a member.
+  const auto pos = std::find_if(begin, end, [&](NodeId n) { return !(offset_of(n) < offset); });
+  if (pos != end && *pos == id) return false;
   members_.insert(pos, id);
   if (larger_side) {
     if (side_size + 1 > half_) members_.pop_back();

@@ -147,7 +147,7 @@ std::optional<NodeId> PastryOverlay::compute_next_hop(const Node& cur, Key key,
     if (!best || closer(key, cand, *best)) best = cand;
   };
   for (const NodeId m : cur.leaves.members()) consider(m);
-  for (const NodeId m : cur.table.entries()) consider(m);
+  cur.table.for_each_entry(consider);
   return best;  // nullopt => deliver locally
 }
 
@@ -237,7 +237,7 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
       x.leaves.insert(cand);
     };
     offer(p->id);
-    for (const NodeId cand : p->table.entries()) offer(cand);
+    p->table.for_each_entry(offer);
     for (const NodeId cand : p->leaves.members()) offer(cand);
   }
 

@@ -66,9 +66,7 @@ std::optional<NodeId> RoutingTable::next_hop(Key key) const {
 std::vector<NodeId> RoutingTable::entries() const {
   std::vector<NodeId> out;
   out.reserve(populated_);
-  for (const NodeId slot : slots_) {
-    if (slot != owner_) out.push_back(slot);
-  }
+  for_each_entry([&out](NodeId id) { out.push_back(id); });
   return out;
 }
 

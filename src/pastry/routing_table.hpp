@@ -45,6 +45,15 @@ class RoutingTable {
   /// All populated entries, row-major.
   [[nodiscard]] std::vector<NodeId> entries() const;
 
+  /// Call `visit(id)` for every populated entry, row-major: entries()
+  /// without building a vector. `visit` must not change this table.
+  template <typename Visit>
+  void for_each_entry(Visit&& visit) const {
+    for (const NodeId slot : slots_) {
+      if (slot != owner_) visit(slot);
+    }
+  }
+
   [[nodiscard]] std::size_t size() const { return populated_; }
 
   /// Rows currently stored: one past the deepest populated row.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kosha/cluster.hpp"
 #include "nfs/nfs_client.hpp"
 
 namespace kosha::nfs {
@@ -206,6 +207,117 @@ TEST(DuplicateRequestCache, HardDownIsNotRetried) {
   // identical to the behaviour without any fault plan installed.
   EXPECT_EQ(fx.network.stats().timeouts, before + 1);
   EXPECT_EQ(fx.network.stats().retries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// FIFO bound: the cache remembers the last 512 stored keys, in store order.
+// Each probe below is a REMOVE of a name that never exists, so a hit and a
+// miss differ only in the hit counter (a miss re-executes into kNoEnt and
+// stores again).
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kCapacity = 512;
+
+struct DrcProbe : Fixture {
+  RpcContext ctx(std::uint32_t xid, std::uint64_t boot = 1) const {
+    return RpcContext{client_host, xid, boot};
+  }
+  /// Send REMOVE under `xid`; true iff the DRC answered it.
+  bool hit(std::uint32_t xid, std::uint64_t boot = 1) {
+    const std::uint64_t before = server.drc_stats().hits;
+    EXPECT_EQ(server.remove(root(), "absent", ctx(xid, boot)).error(), NfsStat::kNoEnt);
+    return server.drc_stats().hits == before + 1;
+  }
+};
+
+TEST(DuplicateRequestCache, TheFiveHundredThirteenthStoreEvictsTheFirst) {
+  DrcProbe fx;
+  for (std::uint32_t xid = 1; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));
+  EXPECT_EQ(fx.server.drc_stats().stores, kCapacity);
+  // Full, nothing evicted yet; hits neither store nor reorder.
+  EXPECT_TRUE(fx.hit(1));
+  EXPECT_TRUE(fx.hit(kCapacity));
+  EXPECT_FALSE(fx.hit(kCapacity + 1));  // evicts xid 1
+  EXPECT_TRUE(fx.hit(2));
+  EXPECT_TRUE(fx.hit(kCapacity + 1));
+  EXPECT_FALSE(fx.hit(1));  // re-stored, evicting xid 2
+  EXPECT_FALSE(fx.hit(2));
+  EXPECT_TRUE(fx.hit(4));
+  EXPECT_EQ(fx.server.drc_stats().stores, kCapacity + 3);
+}
+
+TEST(DuplicateRequestCache, EvictionStaysFifoOverManyLaps) {
+  DrcProbe fx;
+  const std::uint32_t last = 3 * kCapacity + 5;
+  for (std::uint32_t xid = 1; xid <= last; ++xid) EXPECT_FALSE(fx.hit(xid));
+  // Exactly the newest kCapacity keys answer; probing them stores nothing.
+  for (std::uint32_t xid = last - kCapacity + 1; xid <= last; ++xid) {
+    EXPECT_TRUE(fx.hit(xid)) << xid;
+  }
+  EXPECT_FALSE(fx.hit(last - kCapacity));
+  EXPECT_FALSE(fx.hit(1));
+  EXPECT_EQ(fx.server.drc_stats().stores, last + 2);
+}
+
+TEST(DuplicateRequestCache, ShapeReplacementKeepsItsQueuePosition) {
+  DrcProbe fx;
+  for (std::uint32_t xid = 1; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));
+  // A CREATE under xid 1 misses on shape and replaces the entry in place.
+  ASSERT_TRUE(fx.server.create(fx.root(), "x", 0644, 0, 0, fx.ctx(1)).ok());
+  EXPECT_EQ(fx.server.drc_stats().stores, kCapacity + 1);
+  const std::uint64_t hits = fx.server.drc_stats().hits;
+  EXPECT_TRUE(fx.server.create(fx.root(), "x", 0644, 0, 0, fx.ctx(1)).ok());
+  EXPECT_EQ(fx.server.drc_stats().hits, hits + 1);
+  // Still the oldest key: the next new key evicts it, not xid 2.
+  EXPECT_FALSE(fx.hit(kCapacity + 1));
+  EXPECT_TRUE(fx.hit(2));
+  EXPECT_EQ(fx.server.create(fx.root(), "x", 0644, 0, 0, fx.ctx(1)).error(), NfsStat::kExist);
+  EXPECT_EQ(fx.server.drc_stats().hits, hits + 2);
+}
+
+TEST(DuplicateRequestCache, BootReplacementKeepsItsQueuePosition) {
+  DrcProbe fx;
+  for (std::uint32_t xid = 1; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));
+  EXPECT_FALSE(fx.hit(1, /*boot=*/2));  // a new incarnation replaces the entry
+  EXPECT_TRUE(fx.hit(1, 2));
+  EXPECT_FALSE(fx.hit(1, 1));  // and the old one is gone (replaced again)
+  EXPECT_FALSE(fx.hit(kCapacity + 1));
+  EXPECT_FALSE(fx.hit(1, 1));  // evicted as the oldest key
+  EXPECT_TRUE(fx.hit(3));
+}
+
+TEST(DuplicateRequestCache, ClearDropsEveryReplyAndTheQueue) {
+  DrcProbe fx;
+  for (std::uint32_t xid = 1; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));
+  fx.server.clear_drc();
+  EXPECT_FALSE(fx.hit(7));
+  // The queue restarted empty: kCapacity - 2 more keys fill all but one slot.
+  for (std::uint32_t xid = 1000; xid < 1000 + kCapacity - 2; ++xid) EXPECT_FALSE(fx.hit(xid));
+  EXPECT_TRUE(fx.hit(7));
+  EXPECT_FALSE(fx.hit(1));  // cleared, so it takes the last slot
+  EXPECT_TRUE(fx.hit(7));
+  EXPECT_FALSE(fx.hit(2));  // the first store after the clear is evicted
+  EXPECT_FALSE(fx.hit(7));
+}
+
+TEST(DuplicateRequestCache, RevivalClearsTheServersCache) {
+  ClusterConfig config;
+  config.nodes = 4;
+  config.seed = 7003;
+  KoshaCluster cluster(config);
+  const net::HostId host = cluster.live_hosts()[1];
+  const RpcContext ctx{cluster.live_hosts()[0], 4242, 99};
+  NfsServer& server = cluster.server(host);
+  const FileHandle root = server.root_handle();
+  EXPECT_EQ(server.remove(root, "absent", ctx).error(), NfsStat::kNoEnt);
+  EXPECT_EQ(server.remove(root, "absent", ctx).error(), NfsStat::kNoEnt);
+  const std::uint64_t hits = server.drc_stats().hits;
+  EXPECT_EQ(hits, 1u);
+  cluster.fail_node(host);
+  cluster.revive_node(host);
+  const FileHandle reborn_root = cluster.server(host).root_handle();
+  EXPECT_EQ(cluster.server(host).remove(reborn_root, "absent", ctx).error(), NfsStat::kNoEnt);
+  EXPECT_EQ(cluster.server(host).drc_stats().hits, hits);
 }
 
 }  // namespace

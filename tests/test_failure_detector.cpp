@@ -263,13 +263,16 @@ TEST(FailureDetector, SeededSoakMatchesGoldenTotals) {
 /// A death verdict about a peer that is still live outlives the peer's
 /// leaf-set membership (it is what keeps repair from re-inserting the
 /// peer), tick after tick of pruning; once the peer is really gone the
-/// next prune forgets it. Only the observer runs a detector, so the
-/// browned-out peer never probes back and is never reinstated.
+/// next prune forgets it. The suspect is a live overlay node that runs no
+/// detector, so it answers no probe, direct or relayed, and never probes
+/// back to be reinstated; every other node runs one, so the observer's
+/// relayed probes of its healthy peers are answered.
 TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   SimClock clock;
   EventLoop loop(&clock, 79);
   net::SimNetwork network({}, &clock);
   network.set_event_loop(&loop);
+  network.set_fault_plan(std::make_unique<net::FaultPlan>(net::FaultPlanConfig{81, 0.0, 0.0, {}}));
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(80);
   std::vector<pastry::NodeId> ids;
@@ -283,12 +286,15 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   pastry::FailureDetector detector({}, &overlay, &network, &loop, observer,
                                    overlay.host_of(observer), 1);
   detector.start();
+  std::vector<std::unique_ptr<pastry::FailureDetector>> peers;
+  for (std::size_t i = 2; i < ids.size(); ++i) {
+    peers.push_back(std::make_unique<pastry::FailureDetector>(
+        pastry::FailureDetectorConfig{}, &overlay, &network, &loop, ids[i],
+        overlay.host_of(ids[i]), i + 1));
+    peers.back()->start();
+  }
 
   const SimDuration t0 = clock.now();
-  auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{81, 0.0, 0.0, {}});
-  plan->add_brownout(overlay.host_of(suspect), t0, t0 + SimDuration::seconds(3));
-  network.set_fault_plan(std::move(plan));
-
   loop.run_until_time(t0 + SimDuration::seconds(2));
   ASSERT_TRUE(detector.has_declared_dead(suspect));
   ASSERT_EQ(detector.stats().declared_dead, 1u);
@@ -296,8 +302,8 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   ASSERT_FALSE(overlay.leaf_set(observer).contains(suspect));
   ASSERT_TRUE(overlay.is_live(suspect));
 
-  // Dozens of ticks later, the brownout long over: the verdict stands and
-  // repair has not re-inserted the peer.
+  // Dozens of ticks later the verdict stands and repair has not
+  // re-inserted the peer.
   loop.run_until_time(t0 + SimDuration::seconds(6));
   EXPECT_TRUE(detector.has_declared_dead(suspect));
   EXPECT_FALSE(overlay.leaf_set(observer).contains(suspect));
@@ -315,6 +321,7 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   EXPECT_FALSE(detector.is_suspected(suspect));
   EXPECT_EQ(detector.death_verdicts(), 0u);  // the prune dropped the verdict
   detector.stop();
+  for (auto& peer : peers) peer->stop();
 }
 
 /// A bare overlay of `n` nodes, each running its own detector.
@@ -563,9 +570,9 @@ TEST(FailureDetector, JoinsMidRunMatchPerMessageTotals) {
 /// detector) twice: once just after its detector sent a round, so its
 /// probes are still on the wire, and once with that round's acks on the
 /// wire. Its peers answer the dead incarnation's probes, and the acks
-/// must find no detector. (The host is up again at once, so indirect
-/// probes of an old id reach the host and refute every suspicion: the
-/// old ids stay undetected, which the totals record as they are.)
+/// must find no detector. The host is up again at once, but a relayed
+/// probe answers only for the id running there, so every survivor
+/// declares each old id dead and both failures are detected.
 TEST(FailureDetector, RevivalWithProbesInFlightMatchesPerMessageTotals) {
   auto cluster = soak_cluster(93, net::FaultPlanConfig{94, 0.01, 0.0, {}});
   const net::HostId host = cluster->live_hosts()[2];
@@ -581,17 +588,45 @@ TEST(FailureDetector, RevivalWithProbesInFlightMatchesPerMessageTotals) {
   cluster->revive_node(host);
   run_for(*cluster, SimDuration::seconds(2));
   EXPECT_EQ(soak_totals(*cluster),
-            "fd 0 388 337 51 15 15 15 0 0 0\n"
-            "fd 1 388 334 54 15 15 15 0 0 0\n"
+            "fd 0 350 332 18 2 4 0 2 0 0\n"
+            "fd 1 350 333 17 2 4 0 2 0 0\n"
             "fd 2 162 159 3 0 0 0 0 0 0\n"
-            "fd 3 388 330 58 15 15 15 0 0 0\n"
-            "fd 4 390 331 56 15 15 15 0 0 0\n"
-            "fd 5 388 338 50 15 15 15 0 0 0\n"
-            "fd 6 390 333 57 15 15 15 0 0 0\n"
-            "fd 7 388 334 54 15 15 15 0 0 0\n"
-            "fd 8 388 333 55 15 15 15 0 0 0\n"
-            "fd 9 388 336 52 15 15 15 0 0 0\n"
-            "net 9131 89 492\n");
+            "fd 3 350 331 19 2 4 0 2 0 0\n"
+            "fd 4 350 332 18 2 4 0 2 0 0\n"
+            "fd 5 350 335 15 2 4 0 2 0 0\n"
+            "fd 6 350 337 13 2 4 0 2 0 0\n"
+            "fd 7 350 337 13 2 4 0 2 0 0\n"
+            "fd 8 350 334 16 2 4 0 2 0 0\n"
+            "fd 9 349 332 17 2 4 0 2 0 0\n"
+            "net 8144 80 150\n"
+            "detect 2 1072621856 1450058035\n"
+            "detect 2 2151570908 2494971624\n");
+}
+
+/// A node crashed and revived on one host runs a fresh id there, so the
+/// indirect probes of its old id reach the host but not the id. Twice over,
+/// every survivor declares the old incarnation dead (all ten nodes watch
+/// each other), and no leaf set keeps it.
+TEST(FailureDetector, CrashAndReviveOnOneHostDeclaresEachOldId) {
+  auto cluster = soak_cluster(93, net::FaultPlanConfig{94, 0.0, 0.0, {}});
+  const net::HostId host = cluster->live_hosts()[2];
+  std::vector<pastry::NodeId> old_ids;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    run_for(*cluster, SimDuration::seconds(1));
+    old_ids.push_back(cluster->node_id(host));
+    cluster->fail_node(host);
+    cluster->revive_node(host);
+  }
+  run_for(*cluster, SimDuration::seconds(3));
+  EXPECT_EQ(cluster->undetected_failures(), 0u);
+  EXPECT_EQ(cluster->detections().size(), 2u);
+  for (const net::HostId survivor : cluster->live_hosts()) {
+    if (survivor == host) continue;
+    EXPECT_EQ(cluster->detector(survivor)->stats().declared_dead, 2u) << survivor;
+    const pastry::LeafSet& leaves = cluster->overlay().leaf_set(cluster->node_id(survivor));
+    for (const pastry::NodeId old_id : old_ids) EXPECT_FALSE(leaves.contains(old_id)) << survivor;
+    EXPECT_TRUE(leaves.contains(cluster->node_id(host))) << survivor;
+  }
 }
 
 /// A 1.2 s brownout outlasts the confirmation rounds, so the victim's

@@ -304,6 +304,93 @@ TEST(LocalFs, InodeReuseStress) {
   }
 }
 
+TEST(LocalFs, FreedInodesAreReusedLastFreedFirst) {
+  LocalFs store;
+  const InodeId a = *store.create(store.root(), "a");
+  const InodeId b = *store.create(store.root(), "b");
+  const InodeId c = *store.mkdir(store.root(), "c");
+  EXPECT_EQ(a, 2u);
+  EXPECT_EQ(b, 3u);
+  EXPECT_EQ(c, 4u);
+  ASSERT_TRUE(store.remove(store.root(), "b").ok());
+  ASSERT_TRUE(store.remove(store.root(), "a").ok());
+  const InodeId x = *store.mkdir(store.root(), "x");
+  const InodeId y = *store.symlink(store.root(), "y", "/t");
+  const InodeId z = *store.create(store.root(), "z");
+  EXPECT_EQ(x, a);
+  EXPECT_EQ(y, b);
+  EXPECT_EQ(z, 5u);
+  // Each reuse bumps the slot's generation, so the old handles are stale.
+  EXPECT_EQ(store.getattr(x)->generation, 2u);
+  EXPECT_EQ(store.getattr(y)->generation, 2u);
+  EXPECT_EQ(store.getattr(z)->generation, 1u);
+  EXPECT_EQ(store.live_inode_count(), 5u);
+}
+
+TEST(LocalFs, AReusedInodeCarriesNoPayloadOfItsPastLife) {
+  LocalFs store;
+  // A file with content becomes a directory: it holds no bytes ...
+  const InodeId f = *store.create(store.root(), "f");
+  ASSERT_TRUE(store.write(f, 0, "some content").ok());
+  ASSERT_TRUE(store.remove(store.root(), "f").ok());
+  const InodeId d = *store.mkdir(store.root(), "d");
+  ASSERT_EQ(d, f);
+  EXPECT_EQ(store.getattr(d)->size, 0u);
+  EXPECT_TRUE(store.readdir(d)->empty());
+  EXPECT_EQ(store.read(d, 0, 100).error(), FsStatus::kIsDir);
+  EXPECT_EQ(store.used_bytes(), 0u);
+  // ... and a directory that held entries becomes a file with none.
+  ASSERT_TRUE(store.create(d, "child").ok());
+  ASSERT_TRUE(store.remove(d, "child").ok());
+  ASSERT_TRUE(store.rmdir(store.root(), "d").ok());
+  const InodeId g = *store.create(store.root(), "g");
+  ASSERT_EQ(g, d);
+  EXPECT_EQ(store.getattr(g)->size, 0u);
+  EXPECT_EQ(store.read(g, 0, 100)->size(), 0u);
+  EXPECT_EQ(store.readdir(g).error(), FsStatus::kNotDir);
+  EXPECT_EQ(store.lookup(g, "child").error(), FsStatus::kNotDir);
+  // A symlink reads back only its own target.
+  ASSERT_TRUE(store.write(g, 0, "0123456789").ok());
+  ASSERT_TRUE(store.remove(store.root(), "g").ok());
+  const InodeId l = *store.symlink(store.root(), "l", "/x");
+  ASSERT_EQ(l, g);
+  EXPECT_EQ(store.readlink(l).value(), "/x");
+  EXPECT_EQ(store.getattr(l)->size, 2u);
+  EXPECT_EQ(store.read(l, 0, 100).error(), FsStatus::kIsDir);
+  EXPECT_EQ(store.readdir(l).error(), FsStatus::kNotDir);
+  EXPECT_EQ(store.used_bytes(), 0u);
+}
+
+TEST(LocalFs, PurgeKeepsGenerationsMonotonic) {
+  LocalFs store;
+  const InodeId dir = *store.mkdir(store.root(), "d");
+  const InodeId f1 = *store.create(dir, "f1");
+  const InodeId f2 = *store.create(dir, "f2");
+  ASSERT_TRUE(store.write(f2, 0, "payload").ok());
+  ASSERT_TRUE(store.remove(dir, "f1").ok());
+  const InodeId again = *store.create(dir, "f3");  // generation 2 in f1's slot
+  ASSERT_EQ(again, f1);
+  store.purge();
+  EXPECT_EQ(store.getattr(store.root())->generation, 2u);
+  EXPECT_TRUE(store.readdir(store.root())->empty());
+  // The freed slots come back highest id first, each one generation past
+  // anything a handle from before the purge could name.
+  const InodeId n1 = *store.create(store.root(), "n1");
+  const InodeId n2 = *store.mkdir(store.root(), "n2");
+  const InodeId n3 = *store.create(store.root(), "n3");
+  const InodeId n4 = *store.create(store.root(), "n4");
+  EXPECT_EQ(n1, f2);
+  EXPECT_EQ(n2, f1);
+  EXPECT_EQ(n3, dir);
+  EXPECT_EQ(n4, 5u);
+  EXPECT_EQ(store.getattr(n1)->generation, 3u);
+  EXPECT_EQ(store.getattr(n2)->generation, 4u);
+  EXPECT_EQ(store.getattr(n3)->generation, 3u);
+  EXPECT_EQ(store.getattr(n4)->generation, 1u);
+  EXPECT_EQ(store.getattr(n1)->size, 0u);
+  EXPECT_TRUE(store.readdir(n2)->empty());
+}
+
 TEST(LocalFs, NamesAreLookedUpByView) {
   // Names reach the store as views into longer paths; the directory map
   // compares them without building strings, so nothing past the view may

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kosha/virtual_handles.hpp"
 
 namespace kosha {
@@ -74,6 +77,101 @@ TEST(VirtualHandles, HandlesAreNeverReusedAcrossPaths) {
   table.drop(a);
   const auto b = table.bind("/b", "/s", handle(1, 2), fs::FileType::kFile);
   EXPECT_NE(a, b);
+}
+
+TEST(VirtualHandles, HandlesAreIssuedInOrderAndSurviveRefreshes) {
+  VirtualHandleTable table;
+  std::vector<VirtualHandle> issued;
+  for (int i = 0; i < 100; ++i) {
+    issued.push_back(table.bind("/d/" + std::to_string(i), "/s", handle(1, 1),
+                                fs::FileType::kFile));
+    EXPECT_EQ(issued.back().value, static_cast<std::uint64_t>(i + 1));
+  }
+  // Refreshing every path (the caller's strings are temporaries) keeps
+  // every handle, and each entry still reads back its own path.
+  for (int i = 99; i >= 0; --i) {
+    const std::string path = "/d/" + std::to_string(i);
+    EXPECT_EQ(table.bind(path, "/t", handle(2, 3), fs::FileType::kDirectory),
+              issued[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(table.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    const VhEntry* entry = table.find(issued[static_cast<std::size_t>(i)]);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->path, "/d/" + std::to_string(i));
+    EXPECT_EQ(entry->stored_path, "/t");
+    EXPECT_EQ(entry->type, fs::FileType::kDirectory);
+    EXPECT_EQ(table.find_by_path(entry->path), issued[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(table.find(VirtualHandle{}), nullptr);
+  EXPECT_EQ(table.find(VirtualHandle{101}), nullptr);
+}
+
+TEST(VirtualHandles, PathIndexSurvivesTenThousandBindsAndDrops) {
+  VirtualHandleTable table;
+  std::vector<VirtualHandle> live(100);
+  std::uint64_t next = 1;
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t slot = static_cast<std::size_t>(i) % live.size();
+    const std::string path = "/p" + std::to_string(slot);
+    if (live[slot].valid()) {
+      // Every other lap drops by handle, the rest by subtree.
+      if ((i / 100) % 2 == 0) {
+        table.drop(live[slot]);
+      } else {
+        table.drop_subtree(path);
+      }
+      EXPECT_EQ(table.find(live[slot]), nullptr);
+      EXPECT_FALSE(table.find_by_path(path).has_value());
+    }
+    live[slot] = table.bind(path, "/s", handle(1, 1), fs::FileType::kFile);
+    EXPECT_EQ(live[slot].value, next++);  // a dropped path comes back as a new handle
+  }
+  EXPECT_EQ(table.size(), live.size());
+  for (std::size_t slot = 0; slot < live.size(); ++slot) {
+    const std::string path = "/p" + std::to_string(slot);
+    EXPECT_EQ(table.find_by_path(path), live[slot]);
+    EXPECT_EQ(table.find(live[slot])->path, path);
+  }
+}
+
+TEST(VirtualHandles, DropSubtreeKeepsEverythingOutside) {
+  VirtualHandleTable table;
+  const auto a = table.bind("/a", "/s", handle(1, 1), fs::FileType::kDirectory);
+  const auto ab = table.bind("/a/b", "/s", handle(1, 2), fs::FileType::kDirectory);
+  const auto b = table.bind("/b", "/s", handle(1, 3), fs::FileType::kDirectory);
+  const auto abc = table.bind("/a/b/c", "/s", handle(1, 4), fs::FileType::kFile);
+  const auto ac = table.bind("/a/c", "/s", handle(1, 5), fs::FileType::kFile);
+  table.drop_subtree("/a/b");
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.find(ab), nullptr);
+  EXPECT_EQ(table.find(abc), nullptr);
+  EXPECT_EQ(table.find_by_path("/a"), a);
+  EXPECT_EQ(table.find_by_path("/b"), b);
+  EXPECT_EQ(table.find_by_path("/a/c"), ac);
+  // A rebound subtree gets fresh handles; the survivors keep theirs.
+  EXPECT_EQ(table.bind("/a/b", "/s", handle(1, 6), fs::FileType::kDirectory).value, 6u);
+  table.drop_subtree("/");
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.find_by_path("/a").has_value());
+}
+
+TEST(VirtualHandles, RebindKeepsPathAndType) {
+  VirtualHandleTable table;
+  const auto vh = table.bind("/a/d", "/s1", handle(1, 5), fs::FileType::kDirectory);
+  const auto other = table.bind("/a/e", "/s9", handle(1, 9), fs::FileType::kFile);
+  EXPECT_TRUE(table.rebind(vh, "/s2", handle(3, 7)));
+  const VhEntry* entry = table.find(vh);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->path, "/a/d");
+  EXPECT_EQ(entry->stored_path, "/s2");
+  EXPECT_EQ(entry->real, handle(3, 7));
+  EXPECT_EQ(entry->type, fs::FileType::kDirectory);
+  EXPECT_EQ(table.find_by_path("/a/d"), vh);
+  EXPECT_EQ(table.find(other)->stored_path, "/s9");
+  table.drop(vh);
+  EXPECT_FALSE(table.rebind(vh, "/s3", handle(3, 8)));
+  EXPECT_FALSE(table.find_by_path("/a/d").has_value());
 }
 
 }  // namespace
