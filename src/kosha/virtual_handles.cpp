@@ -42,10 +42,16 @@ void VirtualHandleTable::drop(VirtualHandle vh) {
 }
 
 void VirtualHandleTable::drop_subtree(const std::string& path) {
-  for (std::unique_ptr<VhEntry>& entry : entries_) {
-    if (entry != nullptr && path_is_within(entry->path, path)) {
-      by_path_.erase(entry->path);
-      entry.reset();
+  // Sweep the path index, which holds only live entries: the slot vector
+  // also holds every handle ever dropped.
+  // kosha-lint: allow(unordered-iter): erase-sweep — survivors independent of visit order
+  for (auto it = by_path_.begin(); it != by_path_.end();) {
+    if (path_is_within(it->first, path)) {
+      const std::uint64_t handle = it->second;
+      it = by_path_.erase(it);  // the key goes before the path it views
+      entries_[handle - 1].reset();
+    } else {
+      ++it;
     }
   }
 }

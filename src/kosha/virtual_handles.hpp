@@ -39,7 +39,9 @@ struct VhEntry {
 
 /// Handles are issued densely (1, 2, 3, ...) and never reused, so the
 /// table is a vector indexed by handle; a dropped handle leaves an empty
-/// slot. Each entry is boxed: a pointer from find() stays valid across
+/// 8-byte slot. Only bind and find touch slots by handle; drop_subtree
+/// sweeps the path index, so its cost follows the live entries, not the
+/// handles ever issued. Each entry is boxed: a pointer from find() stays valid across
 /// bind() and rebind() of any handle, and only a drop or drop_subtree
 /// that removes that entry ends it. A caller that may drop (directly, or
 /// through a failover that re-resolves) copies what it needs first.

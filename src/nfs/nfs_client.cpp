@@ -55,8 +55,8 @@ NfsClient::NfsClient(net::SimNetwork* network, const ServerDirectory* directory,
 }
 
 NfsClient::ProcMetrics& NfsClient::proc_metrics(NfsProc proc) {
-  // Metrics switched on after this client was built.
-  if (proc_metrics_ == nullptr) proc_metrics_ = std::make_unique<ProcMetricsTable>();
+  // Metrics are wired into the network before any client exists.
+  assert(proc_metrics_ != nullptr);
   ProcMetrics& pm = (*proc_metrics_)[proc_slot(proc)];
   if (!pm.resolved) {
     MetricsRegistry* metrics = network_->metrics();

@@ -1,5 +1,7 @@
 #include "nfs/nfs_server.hpp"
 
+#include <cassert>
+
 #include "common/metrics.hpp"
 #include "common/tracing.hpp"
 
@@ -150,19 +152,26 @@ void NfsServer::drc_store(RpcContext ctx, DrcEntry entry) {
   if (!ctx.valid()) return;
   entry.boot = ctx.boot;
   const std::uint64_t key = drc_key(ctx);
-  // insert_or_assign: a re-executed request whose key matched a stale entry
-  // (incarnation or shape mismatch in drc_find) must replace that entry, or
-  // its own retransmissions would re-execute on every arrival. The
-  // replacement keeps the key's place in the FIFO.
-  if (drc_.insert_or_assign(key, entry).second) {
-    if (drc_order_.size() < kDrcCapacity) {
-      if (drc_order_.empty()) drc_order_.reserve(kDrcFirstKeys);
-      drc_order_.push_back(key);
-    } else {
-      drc_.erase(drc_order_[drc_oldest_]);
-      drc_order_[drc_oldest_] = key;
-      drc_oldest_ = (drc_oldest_ + 1) % kDrcCapacity;
-    }
+  // A re-executed request whose key matched a stale entry (incarnation or
+  // shape mismatch in drc_find) must replace that entry, or its own
+  // retransmissions would re-execute on every arrival. The replacement
+  // keeps the key's place in the FIFO.
+  if (const auto it = drc_.find(key); it != drc_.end()) {
+    it->second = entry;
+  } else if (drc_order_.size() < kDrcCapacity) {
+    if (drc_order_.empty()) drc_order_.reserve(kDrcFirstKeys);
+    drc_.emplace(key, entry);
+    drc_order_.push_back(key);
+  } else {
+    // Full: the oldest key's node carries the new reply, so a full cache
+    // stores without allocating or freeing.
+    auto node = drc_.extract(drc_order_[drc_oldest_]);
+    assert(!node.empty());
+    node.key() = key;
+    node.mapped() = entry;
+    drc_.insert(std::move(node));
+    drc_order_[drc_oldest_] = key;
+    drc_oldest_ = (drc_oldest_ + 1) % kDrcCapacity;
   }
   ++drc_stats_.stores;
   if (drc_store_ != nullptr) drc_store_->inc();

@@ -172,8 +172,8 @@ class NfsServer {
   std::unordered_map<std::uint64_t, DrcEntry> drc_;
   /// The cached keys in store order, as a ring: unallocated until the
   /// first store, it grows to kDrcCapacity and then each new key
-  /// overwrites the oldest, at drc_oldest_. A replaced entry keeps its
-  /// place. (No std::deque: libstdc++'s allocates when constructed, and
+  /// overwrites the oldest, at drc_oldest_, and takes over its map node.
+  /// A replaced entry keeps its place. (No std::deque: libstdc++'s allocates when constructed, and
   /// at 10,000 nodes most servers never store a reply.)
   std::vector<std::uint64_t> drc_order_;
   std::size_t drc_oldest_ = 0;

@@ -286,6 +286,19 @@ TEST(DuplicateRequestCache, BootReplacementKeepsItsQueuePosition) {
   EXPECT_TRUE(fx.hit(3));
 }
 
+TEST(DuplicateRequestCache, ReplacementBeforeTheQueueFillsKeepsItsPlace) {
+  DrcProbe fx;
+  for (std::uint32_t xid = 1; xid <= 10; ++xid) EXPECT_FALSE(fx.hit(xid));
+  EXPECT_FALSE(fx.hit(1, /*boot=*/2));  // replaces xid 1's entry in place
+  for (std::uint32_t xid = 11; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));
+  // kCapacity distinct keys fit; a requeued key would hold two slots, and
+  // the last store would already have evicted it.
+  EXPECT_TRUE(fx.hit(1, 2));
+  EXPECT_FALSE(fx.hit(kCapacity + 1));  // evicts xid 1, still the oldest
+  EXPECT_TRUE(fx.hit(2));
+  EXPECT_FALSE(fx.hit(1, 2));
+}
+
 TEST(DuplicateRequestCache, ClearDropsEveryReplyAndTheQueue) {
   DrcProbe fx;
   for (std::uint32_t xid = 1; xid <= kCapacity; ++xid) EXPECT_FALSE(fx.hit(xid));

@@ -263,16 +263,18 @@ TEST(FailureDetector, SeededSoakMatchesGoldenTotals) {
 /// A death verdict about a peer that is still live outlives the peer's
 /// leaf-set membership (it is what keeps repair from re-inserting the
 /// peer), tick after tick of pruning; once the peer is really gone the
-/// next prune forgets it. The suspect is a live overlay node that runs no
-/// detector, so it answers no probe, direct or relayed, and never probes
-/// back to be reinstated; every other node runs one, so the observer's
-/// relayed probes of its healthy peers are answered.
+/// next prune forgets it. Every node runs a detector, and a partition cuts
+/// only the observer's link to the suspect. The observer asks no helpers
+/// (indirect_probes = 0), so its direct misses alone declare the suspect
+/// dead, while every other node keeps acking the suspect and holds it in
+/// its leaf set: each repair is offered the suspect back, and only the
+/// observer's verdict refuses it. The suspect's probes never cross the
+/// partition, so the observer never reinstates it.
 TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   SimClock clock;
   EventLoop loop(&clock, 79);
   net::SimNetwork network({}, &clock);
   network.set_event_loop(&loop);
-  network.set_fault_plan(std::make_unique<net::FaultPlan>(net::FaultPlanConfig{81, 0.0, 0.0, {}}));
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(80);
   std::vector<pastry::NodeId> ids;
@@ -283,30 +285,48 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   const pastry::NodeId observer = ids[0];
   const pastry::NodeId suspect = ids[1];
   ASSERT_TRUE(overlay.leaf_set(observer).contains(suspect));
-  pastry::FailureDetector detector({}, &overlay, &network, &loop, observer,
+  pastry::FailureDetectorConfig direct_only;
+  direct_only.indirect_probes = 0;
+  pastry::FailureDetector detector(direct_only, &overlay, &network, &loop, observer,
                                    overlay.host_of(observer), 1);
   detector.start();
   std::vector<std::unique_ptr<pastry::FailureDetector>> peers;
-  for (std::size_t i = 2; i < ids.size(); ++i) {
+  for (std::size_t i = 1; i < ids.size(); ++i) {
     peers.push_back(std::make_unique<pastry::FailureDetector>(
         pastry::FailureDetectorConfig{}, &overlay, &network, &loop, ids[i],
         overlay.host_of(ids[i]), i + 1));
     peers.back()->start();
   }
+  // Every node but the observer still holds the suspect, so each of the
+  // observer's repairs pulls it as a candidate.
+  auto others_hold_suspect = [&] {
+    for (const pastry::NodeId id : ids) {
+      if (id == observer || id == suspect) continue;
+      if (!overlay.leaf_set(id).contains(suspect)) return false;
+    }
+    return true;
+  };
 
   const SimDuration t0 = clock.now();
+  auto plan = std::make_unique<net::FaultPlan>(net::FaultPlanConfig{81, 0.0, 0.0, {}});
+  plan->add_partition({overlay.host_of(observer)}, {overlay.host_of(suspect)}, t0,
+                      t0 + SimDuration::seconds(60));
+  network.set_fault_plan(std::move(plan));
+
   loop.run_until_time(t0 + SimDuration::seconds(2));
   ASSERT_TRUE(detector.has_declared_dead(suspect));
   ASSERT_EQ(detector.stats().declared_dead, 1u);
   EXPECT_EQ(detector.death_verdicts(), 1u);
   ASSERT_FALSE(overlay.leaf_set(observer).contains(suspect));
   ASSERT_TRUE(overlay.is_live(suspect));
+  ASSERT_TRUE(others_hold_suspect());
 
   // Dozens of ticks later the verdict stands and repair has not
-  // re-inserted the peer.
+  // re-inserted the peer, though the others still offer it.
   loop.run_until_time(t0 + SimDuration::seconds(6));
   EXPECT_TRUE(detector.has_declared_dead(suspect));
   EXPECT_FALSE(overlay.leaf_set(observer).contains(suspect));
+  EXPECT_TRUE(others_hold_suspect());
   EXPECT_EQ(detector.stats().reinstated, 0u);
   EXPECT_EQ(detector.stats().declared_dead, 1u);
   for (const pastry::NodeId id : ids) {
@@ -315,6 +335,7 @@ TEST(FailureDetector, VerdictOutlivesLeafMembershipUntilThePeerIsGone) {
   }
 
   // The peer really dies: the next prune drops its state.
+  peers.front()->stop();
   overlay.mark_dead(suspect);
   loop.run_until_time(t0 + SimDuration::seconds(7));
   EXPECT_FALSE(detector.has_declared_dead(suspect));

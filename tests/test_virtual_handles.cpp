@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/profile.hpp"
 #include "kosha/virtual_handles.hpp"
 
 namespace kosha {
@@ -172,6 +175,37 @@ TEST(VirtualHandles, RebindKeepsPathAndType) {
   table.drop(vh);
   EXPECT_FALSE(table.rebind(vh, "/s3", handle(3, 8)));
   EXPECT_FALSE(table.find_by_path("/a/d").has_value());
+}
+
+/// koshad drops a subtree on every remove, rmdir and rename, and handles
+/// are never reused, so a create-and-remove loop leaves a dropped slot per
+/// cycle. drop_subtree must cost what the live entries cost: after 38,000
+/// cycles a batch takes about as long as the first batches did. A sweep
+/// over every slot ever issued makes the last batches some 20 times
+/// slower. Each side takes the faster of two batches to shed noise.
+TEST(VirtualHandles, DropSubtreeCostFollowsLiveEntriesNotHandlesIssued) {
+  VirtualHandleTable table;
+  const auto keep = table.bind("/keep", "/s", handle(1, 1), fs::FileType::kDirectory);
+  constexpr int kBatches = 20;
+  constexpr int kCycles = 2000;
+  std::vector<std::uint64_t> batch_ns;
+  std::uint64_t n = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    const std::uint64_t start = SimProfiler::wall_now_ns();
+    for (int c = 0; c < kCycles; ++c) {
+      const std::string path = std::string("/tmp/f").append(std::to_string(n++));
+      table.bind(path, path, handle(1, 2), fs::FileType::kFile);
+      table.drop_subtree(path);
+    }
+    batch_ns.push_back(SimProfiler::wall_now_ns() - start);
+  }
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find_by_path("/keep"), keep);
+  const std::uint64_t early = std::min(batch_ns[0], batch_ns[1]);
+  const std::uint64_t late = std::min(batch_ns[kBatches - 2], batch_ns[kBatches - 1]);
+  EXPECT_LT(late, 4 * early) << "first batches " << batch_ns[0] << ", " << batch_ns[1]
+                             << " ns; last " << batch_ns[kBatches - 2] << ", "
+                             << batch_ns[kBatches - 1] << " ns";
 }
 
 }  // namespace
